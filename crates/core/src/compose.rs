@@ -17,6 +17,7 @@
 //! queries, via [`crate::searcher::Searcher`]) reuse the build-time index
 //! instead of re-bucketing the corpus.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use bayeslsh_candgen::{
@@ -26,24 +27,26 @@ use bayeslsh_candgen::{
     BandingParams,
 };
 use bayeslsh_lsh::{
-    cos_to_r, count_bit_agreements, count_bit_agreements_batched, count_int_agreements,
-    count_int_agreements_batched, e2lsh_collision, e2lsh_similarity_at, r_to_cos, BitSignatures,
-    E2lshHasher, IntSignatures, Measure, MinHasher, ProjSignatures, SignaturePool, SrpHasher,
+    count_bit_agreements, count_bit_agreements_batched, count_int_agreements,
+    count_int_agreements_batched, BitSignatures, E2lshHasher, IntSignatures, Measure, MinHasher,
+    ProjSignatures, SignaturePool, SrpHasher,
 };
 use bayeslsh_numeric::{derive_seed, Xoshiro256};
-use bayeslsh_sparse::{cosine, jaccard, l2_similarity, Dataset, SparseVector};
+use bayeslsh_sparse::{jaccard, Dataset, SparseVector};
 
-use crate::cosine_model::CosineModel;
-use crate::engine::{bayes_verify, bayes_verify_lite, sprt_verify, EngineStats};
-use crate::error::SearchError;
-use crate::estimator::mle_verify;
-use crate::family_model::FamilyModel;
-use crate::jaccard_model::JaccardModel;
-use crate::parallel::{
-    candidate_ids, par_bayes_verify, par_bayes_verify_lite, par_exact_verify, par_mle_verify,
-    par_sprt_verify,
+use crate::cache::ConcentrationCache;
+use crate::config::SprtConfig;
+use crate::engine::{
+    scan_runs, scan_serial, BayesRule, DecisionRule, EngineStats, ExactRule, LiteRule, MleRule,
+    SprtRule,
 };
+use crate::error::SearchError;
+use crate::jaccard_model::JaccardModel;
+use crate::minmatch::{MinMatchCache, MinMatchTable};
+use crate::parallel::{candidate_ids, par_scan};
 use crate::pipeline::{all_pairs_l2, PipelineConfig, PriorChoice};
+use crate::posterior::Posterior;
+use crate::sprt::SprtTable;
 
 /// A signature pool for any hash family, created to match a
 /// [`PipelineConfig`]'s family: signed-random-projection bits for cosine
@@ -75,7 +78,13 @@ impl SigPool {
                 data.len(),
             )),
             Measure::L2 => SigPool::Projs(ProjSignatures::new(
-                E2lshHasher::new(data.dim(), derive_seed(cfg.seed, 3), l2_width(cfg)),
+                E2lshHasher::new(
+                    data.dim(),
+                    derive_seed(cfg.seed, 3),
+                    cfg.family
+                        .l2_width()
+                        .expect("L2 pipeline carries a bucket width"),
+                ),
                 data.len(),
             )),
             Measure::Mips => SigPool::Bits(BitSignatures::new(
@@ -251,13 +260,6 @@ impl SigPool {
     }
 }
 
-/// The L2 family's bucket width; callers must hold an L2 pipeline config.
-pub(crate) fn l2_width(cfg: &PipelineConfig) -> f64 {
-    cfg.family
-        .l2_width()
-        .expect("L2 pipeline carries a bucket width")
-}
-
 impl SignaturePool for SigPool {
     fn ensure(&mut self, id: u32, v: &SparseVector, n: u32) {
         match self {
@@ -420,13 +422,7 @@ impl VerifierKind {
 
     /// Instantiate the verifier as a trait object.
     pub fn instantiate(&self) -> Box<dyn Verifier> {
-        match self {
-            VerifierKind::Exact => Box::new(ExactVerifier),
-            VerifierKind::Mle => Box::new(MleVerifier),
-            VerifierKind::Bayes => Box::new(BayesVerifier),
-            VerifierKind::BayesLite => Box::new(BayesLiteVerifier),
-            VerifierKind::Sprt => Box::new(SprtVerifier),
-        }
+        Box::new(*self)
     }
 
     /// The deepest signature this verifier can demand of any object under
@@ -724,12 +720,9 @@ impl CandidateGenerator for PpjoinGenerator {
     }
 }
 
-/// Exact verification: compute the true similarity of every candidate.
-struct ExactVerifier;
-
-impl Verifier for ExactVerifier {
+impl Verifier for VerifierKind {
     fn name(&self) -> &'static str {
-        VerifierKind::Exact.name()
+        VerifierKind::name(self)
     }
 
     fn verify(
@@ -737,261 +730,130 @@ impl Verifier for ExactVerifier {
         ctx: &mut SearchContext<'_>,
         candidates: &[(u32, u32)],
     ) -> (Vec<(u32, u32, f64)>, Option<EngineStats>) {
-        let measure = ctx.cfg.family.measure();
-        let t = ctx.cfg.threshold;
-        let threads = ctx.cfg.parallelism.resolve();
-        let pairs = par_exact_verify(ctx.data, measure, t, candidates, threads);
-        (pairs, None)
+        let (data, cfg) = (ctx.data, ctx.cfg);
+        let model =
+            || Posterior::for_family(cfg.family, || fit_jaccard_prior(data, candidates, cfg));
+        let front = BatchFront { ctx, candidates };
+        let (pairs, stats) = with_rule(*self, cfg, cfg.threshold, model, None, front);
+        // Exact and fixed-`n` verification report no engine statistics.
+        let reports = !matches!(self, VerifierKind::Exact | VerifierKind::Mle);
+        (pairs, reports.then_some(stats))
     }
 }
 
-/// Classical fixed-`n` MLE verification ("LSH Approx").
-struct MleVerifier;
+/// A caller of the scan driver (the batch join, or a threshold query),
+/// generic over the decision rule so that [`with_rule`] can hand it
+/// whichever rule a verifier names while the per-candidate loop stays
+/// monomorphized.
+pub(crate) trait ScanFront {
+    /// Survivors plus counters.
+    type Output;
 
-impl Verifier for MleVerifier {
-    fn name(&self) -> &'static str {
-        VerifierKind::Mle.name()
-    }
+    /// Scan the front's candidates under `rule`.
+    fn run<R: DecisionRule + Clone + Sync>(self, rule: R) -> Self::Output;
+}
 
-    fn verify(
-        &self,
-        ctx: &mut SearchContext<'_>,
-        candidates: &[(u32, u32)],
-    ) -> (Vec<(u32, u32, f64)>, Option<EngineStats>) {
-        let n = ctx.cfg.approx_hashes;
-        let t = ctx.cfg.threshold;
-        let threads = ctx.cfg.parallelism.resolve();
-        if threads > 1 {
-            let ids = candidate_ids(candidates, ctx.data.len());
-            ctx.pool.par_ensure_ids(ctx.data, &ids, n, threads);
-            let (pairs, _) = match ctx.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => {
-                    par_mle_verify(&*ctx.pool, candidates, n, t, r_to_cos, threads)
-                }
-                Measure::Jaccard => par_mle_verify(&*ctx.pool, candidates, n, t, |f| f, threads),
-                Measure::L2 => {
-                    let r = l2_width(ctx.cfg);
-                    par_mle_verify(
-                        &*ctx.pool,
-                        candidates,
-                        n,
-                        t,
-                        move |f| e2lsh_similarity_at(f, r),
-                        threads,
-                    )
-                }
+/// Build `verifier`'s decision rule for threshold `t` under `cfg` and run
+/// it through `front` — the one place a [`VerifierKind`] becomes a rule.
+/// `model` supplies the posterior (called by the Bayesian verifiers only);
+/// `memo`, when given, memoizes their pruning tables across calls.
+pub(crate) fn with_rule<F: ScanFront>(
+    verifier: VerifierKind,
+    cfg: &PipelineConfig,
+    t: f64,
+    model: impl FnOnce() -> Posterior,
+    memo: Option<&MinMatchCache>,
+    front: F,
+) -> F::Output {
+    let family = cfg.family;
+    let estimate = move |p: f64| family.similarity_at(p);
+    let max_chunks = || verifier.signature_depth(cfg) / cfg.k;
+    match verifier {
+        VerifierKind::Exact => front.run(ExactRule { t }),
+        VerifierKind::Mle => front.run(MleRule {
+            n: cfg.approx_hashes,
+            t,
+            estimate,
+        }),
+        VerifierKind::Bayes | VerifierKind::BayesLite => {
+            let (model, max_chunks) = (model(), max_chunks());
+            let (k, depth) = (cfg.k, max_chunks * cfg.k);
+            let table = match memo {
+                Some(memo) => memo.get_or_build(&model, t, cfg.epsilon, k, depth),
+                None => Arc::new(MinMatchTable::build(&model, t, cfg.epsilon, k, depth)),
             };
-            return (pairs, None);
-        }
-        let (pairs, _) = match ctx.cfg.family.measure() {
-            Measure::Cosine | Measure::Mips => {
-                mle_verify(ctx.data, ctx.pool, candidates, n, t, r_to_cos)
-            }
-            Measure::Jaccard => mle_verify(ctx.data, ctx.pool, candidates, n, t, |f| f),
-            Measure::L2 => {
-                let r = l2_width(ctx.cfg);
-                mle_verify(ctx.data, ctx.pool, candidates, n, t, move |f| {
-                    e2lsh_similarity_at(f, r)
+            if verifier == VerifierKind::Bayes {
+                front.run(BayesRule {
+                    model: &model,
+                    table: &table,
+                    cache: ConcentrationCache::new(cfg.delta, cfg.gamma),
+                    t,
+                    max_chunks,
+                })
+            } else {
+                front.run(LiteRule {
+                    table: &table,
+                    t,
+                    max_chunks,
                 })
             }
-        };
-        (pairs, None)
+        }
+        VerifierKind::Sprt => {
+            let sprt = SprtConfig {
+                threshold: t,
+                ..cfg.sprt()
+            };
+            let table = SprtTable::build(&sprt, |s| family.collision_one(s));
+            front.run(SprtRule {
+                table: &table,
+                estimate,
+                t,
+                max_chunks: max_chunks(),
+            })
+        }
     }
 }
 
-/// BayesLSH verification (Algorithm 1).
-struct BayesVerifier;
-
-impl Verifier for BayesVerifier {
-    fn name(&self) -> &'static str {
-        VerifierKind::Bayes.name()
-    }
-
-    fn verify(
-        &self,
-        ctx: &mut SearchContext<'_>,
-        candidates: &[(u32, u32)],
-    ) -> (Vec<(u32, u32, f64)>, Option<EngineStats>) {
-        let cfg = ctx.cfg.bayes();
-        let threads = ctx.cfg.parallelism.resolve();
-        if threads > 1 {
-            let depth = (cfg.max_hashes / cfg.k).max(1) * cfg.k;
-            let ids = candidate_ids(candidates, ctx.data.len());
-            ctx.pool.par_ensure_ids(ctx.data, &ids, depth, threads);
-            let (pairs, stats) = match ctx.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => {
-                    par_bayes_verify(&*ctx.pool, &CosineModel::new(), candidates, &cfg, threads)
-                }
-                Measure::Jaccard => {
-                    let model = fit_jaccard_prior(ctx.data, candidates, ctx.cfg);
-                    par_bayes_verify(&*ctx.pool, &model, candidates, &cfg, threads)
-                }
-                Measure::L2 => {
-                    let model = FamilyModel::new(ctx.cfg.family);
-                    par_bayes_verify(&*ctx.pool, &model, candidates, &cfg, threads)
-                }
-            };
-            return (pairs, Some(stats));
-        }
-        let (pairs, stats) = match ctx.cfg.family.measure() {
-            Measure::Cosine | Measure::Mips => {
-                bayes_verify(ctx.data, ctx.pool, &CosineModel::new(), candidates, &cfg)
-            }
-            Measure::Jaccard => {
-                let model = fit_jaccard_prior(ctx.data, candidates, ctx.cfg);
-                bayes_verify(ctx.data, ctx.pool, &model, candidates, &cfg)
-            }
-            Measure::L2 => {
-                let model = FamilyModel::new(ctx.cfg.family);
-                bayes_verify(ctx.data, ctx.pool, &model, candidates, &cfg)
-            }
-        };
-        (pairs, Some(stats))
-    }
+/// The batch front: verify a candidate-pair list over the context's pool.
+/// One thread scans serially, deepening signatures lazily; more threads
+/// extend every candidate to the rule's depth, then fan out over the
+/// read-only pool.
+struct BatchFront<'c, 'a> {
+    ctx: &'c mut SearchContext<'a>,
+    candidates: &'c [(u32, u32)],
 }
 
-/// BayesLSH-Lite verification (Algorithm 2).
-struct BayesLiteVerifier;
+impl ScanFront for BatchFront<'_, '_> {
+    type Output = (Vec<(u32, u32, f64)>, EngineStats);
 
-impl Verifier for BayesLiteVerifier {
-    fn name(&self) -> &'static str {
-        VerifierKind::BayesLite.name()
-    }
-
-    fn verify(
-        &self,
-        ctx: &mut SearchContext<'_>,
-        candidates: &[(u32, u32)],
-    ) -> (Vec<(u32, u32, f64)>, Option<EngineStats>) {
-        let cfg = ctx.cfg.lite();
+    fn run<R: DecisionRule + Clone + Sync>(self, rule: R) -> Self::Output {
+        let BatchFront { ctx, candidates } = self;
+        let data = ctx.data;
+        let measure = ctx.cfg.family.measure();
+        let exact = move |x: &SparseVector, y: &SparseVector| measure.eval(x, y);
         let threads = ctx.cfg.parallelism.resolve();
-        if threads > 1 {
-            let depth = (cfg.h / cfg.k).max(1) * cfg.k;
-            let ids = candidate_ids(candidates, ctx.data.len());
-            ctx.pool.par_ensure_ids(ctx.data, &ids, depth, threads);
-            let (pairs, stats) = match ctx.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => par_bayes_verify_lite(
-                    ctx.data,
-                    &*ctx.pool,
-                    &CosineModel::new(),
-                    candidates,
-                    &cfg,
-                    cosine,
-                    threads,
-                ),
-                Measure::Jaccard => {
-                    let model = fit_jaccard_prior(ctx.data, candidates, ctx.cfg);
-                    par_bayes_verify_lite(
-                        ctx.data, &*ctx.pool, &model, candidates, &cfg, jaccard, threads,
-                    )
-                }
-                Measure::L2 => {
-                    let model = FamilyModel::new(ctx.cfg.family);
-                    par_bayes_verify_lite(
-                        ctx.data,
-                        &*ctx.pool,
-                        &model,
-                        candidates,
-                        &cfg,
-                        l2_similarity,
-                        threads,
-                    )
-                }
-            };
-            return (pairs, Some(stats));
+        if threads <= 1 {
+            return scan_serial(data, ctx.pool, candidates, rule, &exact);
         }
-        let (pairs, stats) = match ctx.cfg.family.measure() {
-            Measure::Cosine | Measure::Mips => bayes_verify_lite(
-                ctx.data,
-                ctx.pool,
-                &CosineModel::new(),
-                candidates,
-                &cfg,
-                cosine,
-            ),
-            Measure::Jaccard => {
-                let model = fit_jaccard_prior(ctx.data, candidates, ctx.cfg);
-                bayes_verify_lite(ctx.data, ctx.pool, &model, candidates, &cfg, jaccard)
-            }
-            Measure::L2 => {
-                let model = FamilyModel::new(ctx.cfg.family);
-                bayes_verify_lite(ctx.data, ctx.pool, &model, candidates, &cfg, l2_similarity)
-            }
-        };
-        (pairs, Some(stats))
-    }
-}
-
-/// SPRT verification: Wald sequential hypothesis tests per pair.
-struct SprtVerifier;
-
-impl Verifier for SprtVerifier {
-    fn name(&self) -> &'static str {
-        VerifierKind::Sprt.name()
-    }
-
-    fn verify(
-        &self,
-        ctx: &mut SearchContext<'_>,
-        candidates: &[(u32, u32)],
-    ) -> (Vec<(u32, u32, f64)>, Option<EngineStats>) {
-        let cfg = ctx.cfg.sprt();
-        let threads = ctx.cfg.parallelism.resolve();
-        if threads > 1 {
-            let depth = (cfg.max_hashes / cfg.k).max(1) * cfg.k;
-            let ids = candidate_ids(candidates, ctx.data.len());
-            ctx.pool.par_ensure_ids(ctx.data, &ids, depth, threads);
-            let (pairs, stats) = match ctx.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => par_sprt_verify(
-                    ctx.data, &*ctx.pool, candidates, &cfg, cos_to_r, r_to_cos, cosine, threads,
-                ),
-                Measure::Jaccard => par_sprt_verify(
-                    ctx.data,
-                    &*ctx.pool,
-                    candidates,
-                    &cfg,
-                    |s| s,
-                    |f| f,
-                    jaccard,
-                    threads,
-                ),
-                Measure::L2 => {
-                    let r = l2_width(ctx.cfg);
-                    par_sprt_verify(
-                        ctx.data,
-                        &*ctx.pool,
-                        candidates,
-                        &cfg,
-                        move |s| e2lsh_collision(s, r),
-                        move |p| e2lsh_similarity_at(p, r),
-                        l2_similarity,
-                        threads,
-                    )
-                }
-            };
-            return (pairs, Some(stats));
+        if rule.depth() > 0 {
+            let ids = candidate_ids(candidates, data.len());
+            ctx.pool.par_ensure_ids(data, &ids, rule.depth(), threads);
         }
-        let (pairs, stats) = match ctx.cfg.family.measure() {
-            Measure::Cosine | Measure::Mips => sprt_verify(
-                ctx.data, ctx.pool, candidates, &cfg, cos_to_r, r_to_cos, cosine,
-            ),
-            Measure::Jaccard => {
-                sprt_verify(ctx.data, ctx.pool, candidates, &cfg, |s| s, |f| f, jaccard)
-            }
-            Measure::L2 => {
-                let r = l2_width(ctx.cfg);
-                sprt_verify(
-                    ctx.data,
-                    ctx.pool,
-                    candidates,
-                    &cfg,
-                    move |s| e2lsh_collision(s, r),
-                    move |p| e2lsh_similarity_at(p, r),
-                    l2_similarity,
-                )
-            }
-        };
-        (pairs, Some(stats))
+        let pool = &*ctx.pool;
+        let mut stats = EngineStats::for_rule(candidates.len(), &rule);
+        let pairs = par_scan(
+            candidates.len(),
+            threads,
+            &rule,
+            &mut stats,
+            |range, rule, stats| {
+                let count = |a, ids: &[u32], lo, hi, out: &mut Vec<u32>| {
+                    pool.agreements_batched(a, ids, lo, hi, out)
+                };
+                scan_runs(data, &candidates[range], rule, stats, count, &exact)
+            },
+        );
+        (pairs, stats)
     }
 }
 

@@ -1,18 +1,29 @@
-//! The BayesLSH (Algorithm 1) and BayesLSH-Lite (Algorithm 2) inner loops.
+//! The verification loop: one chunk-major scan driver for every verifier.
 //!
-//! Both engines walk a candidate list, comparing hashes `k` at a time
-//! through a lazily-extended [`SignaturePool`], pruning a pair as soon as
-//! its posterior probability of reaching the threshold drops below ε. Full
-//! BayesLSH keeps comparing until the MAP estimate is `(δ, γ)`-concentrated
-//! and emits the estimate; Lite stops after at most `h` hashes and verifies
-//! survivors with an exact similarity computation.
+//! The paper's Algorithms 1 and 2, the classical fixed-`n` MLE, the SPRT
+//! verifier and exact verification are one loop with different stopping
+//! rules: compare the next `k` hashes of every still-undecided candidate,
+//! then let a `DecisionRule` prune it, accept it with an estimate, or
+//! keep it going. At the hash cap the rule's fallback settles whoever is
+//! left: BayesLSH force-accepts with its MAP estimate, Lite and SPRT run
+//! one exact similarity check, MLE (a single chunk of its fixed depth)
+//! keeps a pair whose estimate clears the threshold, and exact
+//! verification has no chunks at all.
 //!
-//! Both Section 4.3 optimizations are applied: the pruning test is a
-//! [`MinMatchTable`] lookup and concentration checks go through the
-//! [`ConcentrationCache`]. Agreement counting is run-major and batched:
-//! candidates sharing a probe are swept together through
-//! [`SignaturePool::agreements_batched`], so the hot loop is word-parallel
-//! XOR + popcount with no per-pair allocation (see `RunScan`).
+//! `scan` is that loop. It takes an alive set, a rule and a closure that
+//! counts agreements, so it serves every caller: batch runs (a probe
+//! against its partners, through [`SignaturePool::agreements_batched`]),
+//! threshold queries (the query signature against its candidates), serial
+//! scans that deepen signatures lazily, and the read-only parallel fan-outs
+//! of [`crate::parallel`]. Rules are generic parameters, so the
+//! per-candidate loop is monomorphized per rule and makes no `dyn` call;
+//! the pruning tests are [`MinMatchTable`] / [`SprtTable`] lookups and
+//! concentration checks go through the [`ConcentrationCache`] (the paper's
+//! Section 4.3 optimizations).
+//!
+//! Every verdict is a pure function of a candidate's cumulative `(m, n)`
+//! at a chunk boundary, so how candidates are grouped into alive sets and
+//! split across workers moves no decision.
 
 use bayeslsh_lsh::SignaturePool;
 use bayeslsh_sparse::{Dataset, SparseVector};
@@ -55,6 +66,16 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
+    /// Empty counters for a scan of `input_pairs` candidates under `rule`.
+    pub(crate) fn for_rule<R: DecisionRule>(input_pairs: usize, rule: &R) -> Self {
+        EngineStats {
+            input_pairs: input_pairs as u64,
+            k: rule.chunk(),
+            pruned_at_chunk: vec![0; rule.max_chunks() as usize],
+            ..Default::default()
+        }
+    }
+
     /// Fold another run's counters into this one (used by the parallel
     /// drivers to merge per-worker statistics; `input_pairs` and `k` are
     /// set by the caller, `pruned_at_chunk` adds elementwise up to the
@@ -99,57 +120,369 @@ impl EngineStats {
     }
 }
 
-/// Outcome of one run member in a run-major batched scan.
+/// A rule's verdict on one candidate at a chunk boundary.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Step {
+    /// Drop the candidate (counted as pruned at this chunk).
+    Prune,
+    /// Emit the candidate with this similarity estimate.
+    Accept(f64),
+    /// Compare the next chunk.
+    Continue,
+}
+
+/// What happens to a candidate still undecided at the hash cap.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Cap {
+    /// Emit it with this estimate (counted as a forced accept).
+    Accept(f64),
+    /// Settle it with one exact similarity against the rule's threshold.
+    Exact,
+    /// Drop it without counting a prune.
+    Reject,
+}
+
+/// A sequential stopping rule over one candidate's agreement stream:
+/// after each chunk of `chunk()` hashes it sees the cumulative agreements
+/// `m` out of `n` compared hashes and decides. `&mut self` lets a rule
+/// memoize (BayesLSH's concentration cache); parallel scans give each
+/// worker its own clone.
+pub(crate) trait DecisionRule {
+    /// Hashes compared per chunk.
+    fn chunk(&self) -> u32;
+
+    /// Chunks before the cap (0 for exact verification).
+    fn max_chunks(&self) -> u32;
+
+    /// The threshold an exact fallback check compares against.
+    fn threshold(&self) -> f64;
+
+    /// The verdict after `m` agreements in the first `n` hashes (by
+    /// default, keep comparing).
+    fn step(&mut self, m: u32, n: u32) -> Step {
+        let _ = (m, n);
+        Step::Continue
+    }
+
+    /// The fallback for a candidate still undecided after `max_chunks()`
+    /// (by default, one exact check).
+    fn at_cap(&mut self, m: u32, n: u32) -> Cap {
+        let _ = (m, n);
+        Cap::Exact
+    }
+
+    /// The deepest signature the rule reads: `chunk() · max_chunks()`.
+    fn depth(&self) -> u32 {
+        self.chunk() * self.max_chunks()
+    }
+
+    /// True when every scanned signature reaches [`DecisionRule::depth`]
+    /// (no early exit), so a lazily-extending pool can reserve it up
+    /// front.
+    fn uniform_depth(&self) -> bool {
+        false
+    }
+
+    /// Concentration-cache (hits, misses), for rules that keep one.
+    fn cache_stats(&self) -> (u64, u64) {
+        (0, 0)
+    }
+}
+
+/// Exact verification: no hash is compared; every candidate is settled by
+/// its exact similarity.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ExactRule {
+    pub t: f64,
+}
+
+impl DecisionRule for ExactRule {
+    fn chunk(&self) -> u32 {
+        1
+    }
+
+    fn max_chunks(&self) -> u32 {
+        0
+    }
+
+    fn threshold(&self) -> f64 {
+        self.t
+    }
+}
+
+/// The classical fixed-`n` MLE ("LSH Approx", paper Section 3): one chunk
+/// of `n` hashes, no pruning, and a pair is kept when `estimate(m/n)`
+/// clears `t`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MleRule<E> {
+    pub n: u32,
+    pub t: f64,
+    pub estimate: E,
+}
+
+impl<E: Fn(f64) -> f64> DecisionRule for MleRule<E> {
+    fn chunk(&self) -> u32 {
+        self.n
+    }
+
+    fn max_chunks(&self) -> u32 {
+        1
+    }
+
+    fn threshold(&self) -> f64 {
+        self.t
+    }
+
+    fn at_cap(&mut self, m: u32, n: u32) -> Cap {
+        let s_hat = (self.estimate)(m as f64 / n as f64);
+        if s_hat >= self.t {
+            Cap::Accept(s_hat)
+        } else {
+            Cap::Reject
+        }
+    }
+
+    fn uniform_depth(&self) -> bool {
+        true
+    }
+}
+
+/// BayesLSH (paper Algorithm 1): prune once `Pr[S ≥ t] < ε` (a
+/// [`MinMatchTable`] lookup), accept with the MAP estimate once it is
+/// `(δ, γ)`-concentrated, and at the cap emit the current estimate anyway
+/// (which preserves the recall guarantee).
+#[derive(Debug, Clone)]
+pub(crate) struct BayesRule<'a, M> {
+    pub model: &'a M,
+    pub table: &'a MinMatchTable,
+    pub cache: ConcentrationCache,
+    pub t: f64,
+    pub max_chunks: u32,
+}
+
+impl<M: PosteriorModel> DecisionRule for BayesRule<'_, M> {
+    fn chunk(&self) -> u32 {
+        self.table.chunk()
+    }
+
+    fn max_chunks(&self) -> u32 {
+        self.max_chunks
+    }
+
+    fn threshold(&self) -> f64 {
+        self.t
+    }
+
+    fn step(&mut self, m: u32, n: u32) -> Step {
+        if self.table.should_prune(m, n) {
+            Step::Prune
+        } else if self.cache.is_concentrated(self.model, m, n) {
+            Step::Accept(self.model.map_estimate(m, n))
+        } else {
+            Step::Continue
+        }
+    }
+
+    fn at_cap(&mut self, m: u32, n: u32) -> Cap {
+        Cap::Accept(self.model.map_estimate(m, n))
+    }
+
+    fn cache_stats(&self) -> (u64, u64) {
+        self.cache.stats()
+    }
+}
+
+/// BayesLSH-Lite (paper Algorithm 2): prune with the same table for at most
+/// `max_chunks` chunks, then verify survivors exactly.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LiteRule<'a> {
+    pub table: &'a MinMatchTable,
+    pub t: f64,
+    pub max_chunks: u32,
+}
+
+impl DecisionRule for LiteRule<'_> {
+    fn chunk(&self) -> u32 {
+        self.table.chunk()
+    }
+
+    fn max_chunks(&self) -> u32 {
+        self.max_chunks
+    }
+
+    fn threshold(&self) -> f64 {
+        self.t
+    }
+
+    fn step(&mut self, m: u32, n: u32) -> Step {
+        if self.table.should_prune(m, n) {
+            Step::Prune
+        } else {
+            Step::Continue
+        }
+    }
+}
+
+/// SPRT: per-chunk early-prune and early-accept boundaries from an
+/// [`SprtTable`] (accepting with `estimate(m/n)`, the agreement fraction
+/// mapped back to the similarity space), and one exact check for pairs
+/// still inside the indifference region at the cap.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SprtRule<'a, E> {
+    pub table: &'a SprtTable,
+    pub estimate: E,
+    pub t: f64,
+    pub max_chunks: u32,
+}
+
+impl<E: Fn(f64) -> f64> DecisionRule for SprtRule<'_, E> {
+    fn chunk(&self) -> u32 {
+        self.table.chunk()
+    }
+
+    fn max_chunks(&self) -> u32 {
+        self.max_chunks
+    }
+
+    fn threshold(&self) -> f64 {
+        self.t
+    }
+
+    fn step(&mut self, m: u32, n: u32) -> Step {
+        if self.table.should_prune(m, n) {
+            Step::Prune
+        } else if self.table.should_accept(m, n) {
+            Step::Accept((self.estimate)(m as f64 / n as f64))
+        } else {
+            Step::Continue
+        }
+    }
+}
+
+/// Where one alive-set member stands.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) enum RunVerdict {
-    /// Still scanning (or, after the scan, survived every chunk).
+enum Verdict {
+    /// Still scanning; after the scan, waiting for its exact check.
     #[default]
     Pending,
-    /// Pruned by the posterior-tail test.
-    Pruned,
-    /// Accepted with this similarity estimate.
+    /// Dropped.
+    Dropped,
+    /// Emitted with this similarity.
     Emit(f64),
 }
 
-/// Reusable scratch for the run-major batched scans: the verify engines
-/// walk candidates in maximal runs sharing a probe `a` (the shape both
-/// all-pairs and sorted LSH generation emit) and count the probe against
-/// every still-alive partner with one [`SignaturePool::agreements_batched`]
-/// sweep per chunk. One `RunScan` is reused across all runs, so
-/// steady-state verification performs no per-pair allocation.
-///
-/// The batching only reorders *when* each pair's chunks are counted; every
-/// pair's `(m, n)` trajectory and verdict are identical to the
-/// pair-at-a-time loop, which keeps serial ≡ parallel bit-identical.
+/// Reusable buffers for [`scan`], so steady-state verification performs no
+/// per-pair allocation.
 #[derive(Debug, Default)]
-pub(crate) struct RunScan {
-    /// Offsets (into the current run) of pairs not yet pruned or accepted.
-    pub alive: Vec<u32>,
-    /// Partner ids of `alive`, in step — the batched sweep's id list.
-    pub alive_ids: Vec<u32>,
-    /// Per-chunk batched agreement counts, in step with `alive`.
-    pub counts: Vec<u32>,
-    /// Cumulative agreeing hashes per run member.
-    pub m: Vec<u32>,
-    /// Verdict per run member, emitted in candidate order after the run.
-    pub verdicts: Vec<RunVerdict>,
+pub(crate) struct Scratch {
+    /// Offsets (into the alive set) of members not yet decided.
+    alive: Vec<u32>,
+    /// Ids of `alive`, in step: the batched count's id list.
+    alive_ids: Vec<u32>,
+    /// Per-chunk agreement counts, in step with `alive`.
+    counts: Vec<u32>,
+    /// Cumulative agreements per member.
+    m: Vec<u32>,
+    /// Verdict per member, emitted in `ids` order after the scan.
+    verdicts: Vec<Verdict>,
 }
 
-impl RunScan {
-    /// Prepare for a run of `len` pairs: everyone alive, zero matches.
-    pub(crate) fn reset(&mut self, len: usize) {
-        self.alive.clear();
-        self.alive.extend(0..len as u32);
-        self.m.clear();
-        self.m.resize(len, 0);
-        self.verdicts.clear();
-        self.verdicts.resize(len, RunVerdict::Pending);
+/// The scan driver: decide every id of one alive set under `rule`.
+///
+/// Per chunk, `count(alive_ids, lo, hi, out)` writes the agreements in
+/// hash positions `lo..hi` of each still-undecided id (a lazy caller
+/// deepens those signatures first), and the rule prunes, accepts or keeps
+/// each one. At the cap the rule's fallback decides the rest; `exact(id)`
+/// supplies an exact similarity when the fallback asks for one. Survivors
+/// reach `emit(id, similarity)` in `ids` order, and `stats` collects the
+/// counters.
+pub(crate) fn scan<R: DecisionRule>(
+    rule: &mut R,
+    ids: &[u32],
+    scratch: &mut Scratch,
+    stats: &mut EngineStats,
+    mut count: impl FnMut(&[u32], u32, u32, &mut Vec<u32>),
+    mut exact: impl FnMut(u32) -> f64,
+    mut emit: impl FnMut(u32, f64),
+) {
+    let Scratch {
+        alive,
+        alive_ids,
+        counts,
+        m: matches,
+        verdicts,
+    } = scratch;
+    alive.clear();
+    alive.extend(0..ids.len() as u32);
+    matches.clear();
+    matches.resize(ids.len(), 0);
+    verdicts.clear();
+    verdicts.resize(ids.len(), Verdict::Pending);
+    let k = rule.chunk();
+    let mut n = 0u32;
+    for c in 0..rule.max_chunks() as usize {
+        if alive.is_empty() {
+            break;
+        }
+        alive_ids.clear();
+        alive_ids.extend(alive.iter().map(|&r| ids[r as usize]));
+        count(alive_ids, n, n + k, counts);
+        n += k;
+        stats.hash_comparisons += k as u64 * alive.len() as u64;
+        let mut kept = 0usize;
+        for t in 0..alive.len() {
+            let r = alive[t] as usize;
+            let m = matches[r] + counts[t];
+            matches[r] = m;
+            match rule.step(m, n) {
+                Step::Prune => {
+                    stats.pruned += 1;
+                    stats.pruned_at_chunk[c] += 1;
+                    verdicts[r] = Verdict::Dropped;
+                }
+                Step::Accept(s) => {
+                    stats.accepted += 1;
+                    verdicts[r] = Verdict::Emit(s);
+                }
+                Step::Continue => {
+                    alive[kept] = r as u32;
+                    kept += 1;
+                }
+            }
+        }
+        alive.truncate(kept);
+    }
+    for &r in alive.iter() {
+        let r = r as usize;
+        match rule.at_cap(matches[r], n) {
+            Cap::Accept(s) => {
+                stats.accepted += 1;
+                stats.forced_accepts += 1;
+                verdicts[r] = Verdict::Emit(s);
+            }
+            Cap::Exact => {}
+            Cap::Reject => verdicts[r] = Verdict::Dropped,
+        }
+    }
+    for (&id, &verdict) in ids.iter().zip(verdicts.iter()) {
+        match verdict {
+            Verdict::Emit(s) => emit(id, s),
+            Verdict::Pending => {
+                stats.exact_verifications += 1;
+                let s = exact(id);
+                if s >= rule.threshold() {
+                    stats.accepted += 1;
+                    emit(id, s);
+                }
+            }
+            Verdict::Dropped => {}
+        }
     }
 }
 
 /// Length of the maximal run of candidates sharing `candidates[i].0`.
 #[inline]
-pub(crate) fn run_end(candidates: &[(u32, u32)], i: usize) -> usize {
+fn run_end(candidates: &[(u32, u32)], i: usize) -> usize {
     let a = candidates[i].0;
     let mut j = i + 1;
     while j < candidates.len() && candidates[j].0 == a {
@@ -158,17 +491,85 @@ pub(crate) fn run_end(candidates: &[(u32, u32)], i: usize) -> usize {
     j
 }
 
+/// Scan a candidate list run-major: each maximal run of pairs sharing a
+/// probe `a` (the shape both all-pairs and banding generation emit) is one
+/// alive set, counted by `count(a, ids, lo, hi, out)`. Output is in
+/// candidate order.
+pub(crate) fn scan_runs<R: DecisionRule>(
+    data: &Dataset,
+    candidates: &[(u32, u32)],
+    rule: &mut R,
+    stats: &mut EngineStats,
+    mut count: impl FnMut(u32, &[u32], u32, u32, &mut Vec<u32>),
+    exact: &impl Fn(&SparseVector, &SparseVector) -> f64,
+) -> Vec<(u32, u32, f64)> {
+    let mut scratch = Scratch::default();
+    let mut partners = Vec::new();
+    let mut out = Vec::new();
+    let mut i = 0usize;
+    while i < candidates.len() {
+        let j = run_end(candidates, i);
+        let a = candidates[i].0;
+        let va = data.vector(a);
+        partners.clear();
+        partners.extend(candidates[i..j].iter().map(|&(_, b)| b));
+        scan(
+            rule,
+            &partners,
+            &mut scratch,
+            stats,
+            |ids, lo, hi, counts| count(a, ids, lo, hi, counts),
+            |b| exact(va, data.vector(b)),
+            |b, s| out.push((a, b, s)),
+        );
+        i = j;
+    }
+    out
+}
+
+/// The serial batch scan: [`scan_runs`] over a pool that is deepened
+/// lazily, one chunk at a time and only for ids that still have a live
+/// pair — so a pair pruned at chunk `c` never costs a hash past `c·k`.
+pub(crate) fn scan_serial<P: SignaturePool, R: DecisionRule>(
+    data: &Dataset,
+    pool: &mut P,
+    candidates: &[(u32, u32)],
+    mut rule: R,
+    exact: &impl Fn(&SparseVector, &SparseVector) -> f64,
+) -> (Vec<(u32, u32, f64)>, EngineStats) {
+    if rule.uniform_depth() {
+        pool.depth_hint(rule.depth());
+    }
+    let mut stats = EngineStats::for_rule(candidates.len(), &rule);
+    let out = scan_runs(
+        data,
+        candidates,
+        &mut rule,
+        &mut stats,
+        |a, ids, lo, hi, counts| {
+            pool.ensure(a, data.vector(a), hi);
+            for &b in ids {
+                pool.ensure(b, data.vector(b), hi);
+            }
+            pool.agreements_batched(a, ids, lo, hi, counts);
+        },
+        exact,
+    );
+    (stats.cache_hits, stats.cache_misses) = rule.cache_stats();
+    (out, stats)
+}
+
+/// The exact-similarity argument for rules that never fall back to one.
+pub(crate) fn no_exact(_: &SparseVector, _: &SparseVector) -> f64 {
+    unreachable!("this rule never asks for an exact check")
+}
+
 /// BayesLSH (paper Algorithm 1): prune or estimate every candidate pair.
 ///
 /// Returns `(pair, Ŝ)` for every unpruned pair, plus run statistics. Note
 /// the output is the paper's: a pair is kept whenever its probability of
 /// being a true positive stays ≥ ε, even if the final estimate lands
-/// slightly below `t`.
-///
-/// Candidates are scanned run-major (see `RunScan`): per chunk, one
-/// batched popcount sweep counts the shared probe against every surviving
-/// partner, so the steady-state cost per surviving pair is XOR + popcount
-/// per signature word, with no allocation.
+/// slightly below `t`. Signatures are extended lazily through `pool`.
 pub fn bayes_verify<P: SignaturePool, M: PosteriorModel>(
     data: &Dataset,
     pool: &mut P,
@@ -177,86 +578,19 @@ pub fn bayes_verify<P: SignaturePool, M: PosteriorModel>(
     cfg: &BayesLshConfig,
 ) -> (Vec<(u32, u32, f64)>, EngineStats) {
     cfg.validate();
-    let k = cfg.k;
-    let max_chunks = (cfg.max_hashes / k).max(1);
-    // No `depth_hint` here, deliberately: the whole point of the chunked
-    // scan is that most signatures stay shallow (pruned after a chunk or
-    // two), so front-loading the cap would reserve ~max_chunks× the memory
-    // actually used. The hot loop stays allocation-light through the hash
-    // kernels' reused scratch; the few deep signatures pay O(log chunks)
-    // amortized reallocations.
-    let table = MinMatchTable::build(model, cfg.threshold, cfg.epsilon, k, max_chunks * k);
-    let mut cache = ConcentrationCache::new(cfg.delta, cfg.gamma);
-
-    let mut stats = EngineStats {
-        input_pairs: candidates.len() as u64,
-        k,
-        pruned_at_chunk: vec![0; max_chunks as usize],
-        ..Default::default()
+    let max_chunks = (cfg.max_hashes / cfg.k).max(1);
+    // No `depth_hint` here, deliberately: most signatures stay shallow
+    // (pruned after a chunk or two), so front-loading the cap would reserve
+    // ~max_chunks× the memory actually used.
+    let table = MinMatchTable::build(model, cfg.threshold, cfg.epsilon, cfg.k, max_chunks * cfg.k);
+    let rule = BayesRule {
+        model,
+        table: &table,
+        cache: ConcentrationCache::new(cfg.delta, cfg.gamma),
+        t: cfg.threshold,
+        max_chunks,
     };
-    let mut out = Vec::new();
-
-    let mut scan = RunScan::default();
-    let mut i = 0usize;
-    while i < candidates.len() {
-        let j = run_end(candidates, i);
-        let run = &candidates[i..j];
-        let a = run[0].0;
-        let va = data.vector(a);
-        scan.reset(run.len());
-        let mut n = 0u32;
-        for c in 0..max_chunks {
-            if scan.alive.is_empty() {
-                break;
-            }
-            pool.ensure(a, va, n + k);
-            scan.alive_ids.clear();
-            for &r in &scan.alive {
-                let b = run[r as usize].1;
-                pool.ensure(b, data.vector(b), n + k);
-                scan.alive_ids.push(b);
-            }
-            pool.agreements_batched(a, &scan.alive_ids, n, n + k, &mut scan.counts);
-            n += k;
-            stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-            let mut kept = 0usize;
-            for t in 0..scan.alive.len() {
-                let r = scan.alive[t] as usize;
-                let m = scan.m[r] + scan.counts[t];
-                scan.m[r] = m;
-                if table.should_prune(m, n) {
-                    stats.pruned += 1;
-                    stats.pruned_at_chunk[c as usize] += 1;
-                    scan.verdicts[r] = RunVerdict::Pruned;
-                } else if cache.is_concentrated(model, m, n) {
-                    scan.verdicts[r] = RunVerdict::Emit(model.map_estimate(m, n));
-                    stats.accepted += 1;
-                } else {
-                    scan.alive[kept] = r as u32;
-                    kept += 1;
-                }
-            }
-            scan.alive.truncate(kept);
-        }
-        for &r in &scan.alive {
-            // Unconcentrated at the cap (n = max_hashes here): emit with
-            // the current estimate rather than dropping (preserves the
-            // recall guarantee).
-            scan.verdicts[r as usize] = RunVerdict::Emit(model.map_estimate(scan.m[r as usize], n));
-            stats.accepted += 1;
-            stats.forced_accepts += 1;
-        }
-        for (r, &(_, b)) in run.iter().enumerate() {
-            if let RunVerdict::Emit(est) = scan.verdicts[r] {
-                out.push((a, b, est));
-            }
-        }
-        i = j;
-    }
-    let (h, mi) = cache.stats();
-    stats.cache_hits = h;
-    stats.cache_misses = mi;
-    (out, stats)
+    scan_serial(data, pool, candidates, rule, &no_exact)
 }
 
 /// BayesLSH-Lite (paper Algorithm 2): prune with at most `h` hashes, verify
@@ -275,73 +609,14 @@ where
     F: Fn(&SparseVector, &SparseVector) -> f64,
 {
     cfg.validate();
-    let k = cfg.k;
-    let max_chunks = (cfg.h / k).max(1);
-    // No `depth_hint`: see `bayes_verify` — pruning keeps most signatures
-    // far below the cap.
-    let table = MinMatchTable::build(model, cfg.threshold, cfg.epsilon, k, max_chunks * k);
-
-    let mut stats = EngineStats {
-        input_pairs: candidates.len() as u64,
-        k,
-        pruned_at_chunk: vec![0; max_chunks as usize],
-        ..Default::default()
+    let max_chunks = (cfg.h / cfg.k).max(1);
+    let table = MinMatchTable::build(model, cfg.threshold, cfg.epsilon, cfg.k, max_chunks * cfg.k);
+    let rule = LiteRule {
+        table: &table,
+        t: cfg.threshold,
+        max_chunks,
     };
-    let mut out = Vec::new();
-
-    let mut scan = RunScan::default();
-    let mut i = 0usize;
-    while i < candidates.len() {
-        let j = run_end(candidates, i);
-        let run = &candidates[i..j];
-        let a = run[0].0;
-        let va = data.vector(a);
-        scan.reset(run.len());
-        let mut n = 0u32;
-        for c in 0..max_chunks {
-            if scan.alive.is_empty() {
-                break;
-            }
-            pool.ensure(a, va, n + k);
-            scan.alive_ids.clear();
-            for &r in &scan.alive {
-                let b = run[r as usize].1;
-                pool.ensure(b, data.vector(b), n + k);
-                scan.alive_ids.push(b);
-            }
-            pool.agreements_batched(a, &scan.alive_ids, n, n + k, &mut scan.counts);
-            n += k;
-            stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-            let mut kept = 0usize;
-            for t in 0..scan.alive.len() {
-                let r = scan.alive[t] as usize;
-                let m = scan.m[r] + scan.counts[t];
-                scan.m[r] = m;
-                if table.should_prune(m, n) {
-                    stats.pruned += 1;
-                    stats.pruned_at_chunk[c as usize] += 1;
-                    scan.verdicts[r] = RunVerdict::Pruned;
-                } else {
-                    scan.alive[kept] = r as u32;
-                    kept += 1;
-                }
-            }
-            scan.alive.truncate(kept);
-        }
-        // Survivors (still Pending) get the exact check, in candidate order.
-        for (r, &(_, b)) in run.iter().enumerate() {
-            if matches!(scan.verdicts[r], RunVerdict::Pending) {
-                stats.exact_verifications += 1;
-                let s = exact(va, data.vector(b));
-                if s >= cfg.threshold {
-                    out.push((a, b, s));
-                    stats.accepted += 1;
-                }
-            }
-        }
-        i = j;
-    }
-    (out, stats)
+    scan_serial(data, pool, candidates, rule, &exact)
 }
 
 /// SPRT verification: a Wald sequential test over each pair's agreement
@@ -355,8 +630,7 @@ where
 /// probability (`cos_to_r` for SRP bits, identity for minhashes),
 /// `estimate` maps an agreement fraction back to the similarity space
 /// (`r_to_cos` / identity), and `exact` computes the true similarity for
-/// the fallback. Scanning is run-major and batched exactly like
-/// [`bayes_verify`].
+/// the fallback.
 pub fn sprt_verify<P, F>(
     data: &Dataset,
     pool: &mut P,
@@ -371,78 +645,13 @@ where
     F: Fn(&SparseVector, &SparseVector) -> f64,
 {
     let table = SprtTable::build(cfg, collision);
-    let k = cfg.k;
-    let max_chunks = (cfg.max_hashes / k).max(1);
-
-    let mut stats = EngineStats {
-        input_pairs: candidates.len() as u64,
-        k,
-        pruned_at_chunk: vec![0; max_chunks as usize],
-        ..Default::default()
+    let rule = SprtRule {
+        table: &table,
+        estimate,
+        t: cfg.threshold,
+        max_chunks: (cfg.max_hashes / cfg.k).max(1),
     };
-    let mut out = Vec::new();
-
-    let mut scan = RunScan::default();
-    let mut i = 0usize;
-    while i < candidates.len() {
-        let j = run_end(candidates, i);
-        let run = &candidates[i..j];
-        let a = run[0].0;
-        let va = data.vector(a);
-        scan.reset(run.len());
-        let mut n = 0u32;
-        for c in 0..max_chunks {
-            if scan.alive.is_empty() {
-                break;
-            }
-            pool.ensure(a, va, n + k);
-            scan.alive_ids.clear();
-            for &r in &scan.alive {
-                let b = run[r as usize].1;
-                pool.ensure(b, data.vector(b), n + k);
-                scan.alive_ids.push(b);
-            }
-            pool.agreements_batched(a, &scan.alive_ids, n, n + k, &mut scan.counts);
-            n += k;
-            stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-            let mut kept = 0usize;
-            for t in 0..scan.alive.len() {
-                let r = scan.alive[t] as usize;
-                let m = scan.m[r] + scan.counts[t];
-                scan.m[r] = m;
-                if table.should_prune(m, n) {
-                    stats.pruned += 1;
-                    stats.pruned_at_chunk[c as usize] += 1;
-                    scan.verdicts[r] = RunVerdict::Pruned;
-                } else if table.should_accept(m, n) {
-                    scan.verdicts[r] = RunVerdict::Emit(estimate(m as f64 / n as f64));
-                    stats.accepted += 1;
-                } else {
-                    scan.alive[kept] = r as u32;
-                    kept += 1;
-                }
-            }
-            scan.alive.truncate(kept);
-        }
-        // Undecided at the cap (inside the indifference region): one exact
-        // check settles the pair, in candidate order.
-        for (r, &(_, b)) in run.iter().enumerate() {
-            match scan.verdicts[r] {
-                RunVerdict::Emit(est) => out.push((a, b, est)),
-                RunVerdict::Pending => {
-                    stats.exact_verifications += 1;
-                    let s = exact(va, data.vector(b));
-                    if s >= cfg.threshold {
-                        out.push((a, b, s));
-                        stats.accepted += 1;
-                    }
-                }
-                RunVerdict::Pruned => {}
-            }
-        }
-        i = j;
-    }
-    (out, stats)
+    scan_serial(data, pool, candidates, rule, &exact)
 }
 
 #[cfg(test)]

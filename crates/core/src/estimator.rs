@@ -10,7 +10,7 @@
 use bayeslsh_lsh::SignaturePool;
 use bayeslsh_sparse::Dataset;
 
-use crate::engine::run_end;
+use crate::engine::{no_exact, scan_serial, MleRule};
 
 /// Verify candidates with the classical MLE over a fixed `n_hashes`.
 ///
@@ -28,35 +28,13 @@ pub fn mle_verify<P: SignaturePool>(
     transform: impl Fn(f64) -> f64,
 ) -> (Vec<(u32, u32, f64)>, u64) {
     assert!(n_hashes > 0);
-    // Every candidate signature reaches exactly `n_hashes`: advise the pool
-    // so first extensions allocate their whole signature once.
-    pool.depth_hint(n_hashes);
-    let mut out = Vec::new();
-    let mut ids = Vec::new();
-    let mut counts = Vec::new();
-    let mut i = 0usize;
-    while i < candidates.len() {
-        // Runs of candidates sharing a probe are counted in one batched
-        // word-parallel sweep over the full fixed depth.
-        let j = run_end(candidates, i);
-        let run = &candidates[i..j];
-        let a = run[0].0;
-        pool.ensure(a, data.vector(a), n_hashes);
-        ids.clear();
-        for &(_, b) in run {
-            pool.ensure(b, data.vector(b), n_hashes);
-            ids.push(b);
-        }
-        pool.agreements_batched(a, &ids, 0, n_hashes, &mut counts);
-        for (&(_, b), &m) in run.iter().zip(&counts) {
-            let s_hat = transform(m as f64 / n_hashes as f64);
-            if s_hat >= threshold {
-                out.push((a, b, s_hat));
-            }
-        }
-        i = j;
-    }
-    (out, candidates.len() as u64 * n_hashes as u64)
+    let rule = MleRule {
+        n: n_hashes,
+        t: threshold,
+        estimate: transform,
+    };
+    let (pairs, stats) = scan_serial(data, pool, candidates, rule, &no_exact);
+    (pairs, stats.hash_comparisons)
 }
 
 #[cfg(test)]

@@ -15,14 +15,16 @@
 //!   the collision similarity `r` for cosine (Section 4.2).
 //! * [`minmatch`] / [`cache`] — the Section 4.3 optimizations: precomputed
 //!   `minMatches(n)` tables and an `(m, n)`-indexed concentration cache.
-//! * [`engine`] — Algorithms 1 (BayesLSH) and 2 (BayesLSH-Lite), generic
-//!   over the hash family and prior, with the pruning statistics behind the
-//!   paper's Figure 4.
+//! * [`engine`] — the one verification loop: a chunk-scan driver that runs
+//!   Algorithms 1 (BayesLSH) and 2 (BayesLSH-Lite), the fixed-`n` MLE, SPRT
+//!   and exact verification as decision rules, with the pruning statistics
+//!   behind the paper's Figure 4.
 //! * [`estimator`] — the classical fixed-`n` maximum-likelihood estimator
 //!   ("LSH Approx", Section 3), the baseline BayesLSH is measured against.
 //! * [`compose`] — the composable layer: [`compose::CandidateGenerator`] ×
 //!   [`compose::Verifier`] trait objects whose grid the paper's eight
-//!   algorithms are named points of.
+//!   algorithms are named points of; each [`VerifierKind`] verifies by
+//!   handing its decision rule to the scan driver.
 //! * [`searcher`] — the build-once/query-many API: a [`Searcher`] hashes
 //!   and indexes a corpus once, then serves batch joins, threshold point
 //!   queries, Bayesian-pruned top-k, and incremental inserts.
@@ -39,9 +41,6 @@
 //! * [`bbit_model`] — BayesLSH over **b-bit minwise hashes** (Li & König,
 //!   the paper's reference \[15\]): a truncated posterior over the collision
 //!   probability `u = 2⁻ᵇ + (1 − 2⁻ᵇ)·J`.
-//! * [`knn`] — the paper's future-work item: **k-NN retrieval** where the
-//!   current k-th best similarity acts as a rising pruning threshold and
-//!   survivors are verified exactly.
 //! * [`sprt`] — an **adaptive SPRT verifier** (Wald sequential hypothesis
 //!   tests over the same agreement streams, after Chakrabarti &
 //!   Parthasarathy): per-chunk early-accept/early-prune integer boundaries
@@ -52,20 +51,25 @@
 //!
 //! Every pipeline stage — signature hashing, banding-index construction,
 //! candidate generation, and verification — can fan out across worker
-//! threads ([`parallel`], built on `std::thread::scope`). The knob is
+//! threads (built on `std::thread::scope`). The knob is
 //! [`pipeline::PipelineConfig::parallelism`] /
 //! [`searcher::SearcherBuilder::parallelism`]; `Parallelism::Auto` (the
 //! default) resolves to the `BAYESLSH_THREADS` environment variable or the
 //! available cores, and `Parallelism::serial()` is the exact serial path.
-//! Whatever the thread count, batch and query output is **bit-identical to
-//! serial**: work is split into deterministic contiguous chunks, every
-//! worker computes a pure function of its chunk, and results merge in
-//! canonical order (`tests/parallel_equivalence.rs` pins this down for
-//! every named composition, the paper's eight plus the SPRT verifier). The
-//! only observable deltas are wall-clock time,
-//! per-worker concentration-cache hit/miss splits, and — under
-//! [`searcher::HashMode::Lazy`] — candidate signatures being pre-extended
-//! to the verifier's scan depth before a parallel verification.
+//! Verification makes the serial/parallel choice once per front (batch
+//! join, threshold query): one thread runs the [`engine`] scan driver
+//! serially, deepening signatures lazily; more threads extend the
+//! candidates' signatures to the scan depth and run the same driver on
+//! contiguous chunks of the candidates ([`parallel`]), each worker with its
+//! own copy of the decision rule. Whatever the thread count, batch and
+//! query output is **bit-identical to serial**: every worker computes a
+//! pure function of its chunk and results merge in canonical order
+//! (`tests/parallel_equivalence.rs` pins this down for every named
+//! composition, the paper's eight plus the SPRT verifier). The only
+//! observable deltas are wall-clock time, per-worker concentration-cache
+//! hit/miss splits, and — under [`searcher::HashMode::Lazy`] — candidate
+//! signatures being pre-extended to the verifier's scan depth before a
+//! parallel verification.
 
 pub mod bbit_model;
 pub mod cache;
@@ -77,7 +81,6 @@ pub mod error;
 pub mod estimator;
 pub mod family_model;
 pub mod jaccard_model;
-pub mod knn;
 pub mod metrics;
 pub mod minmatch;
 pub mod parallel;
@@ -103,19 +106,15 @@ pub use error::{ConfigDiff, SearchError};
 pub use estimator::mle_verify;
 pub use family_model::FamilyModel;
 pub use jaccard_model::JaccardModel;
-pub use knn::{KnnIndex, KnnParams, KnnStats};
 pub use metrics::{estimate_errors, recall_against, ErrorStats};
 pub use minmatch::{MinMatchCache, MinMatchTable};
-pub use parallel::{
-    candidate_ids, par_bayes_verify, par_bayes_verify_lite, par_exact_verify, par_mle_verify,
-    par_sprt_verify,
-};
+pub use parallel::candidate_ids;
 pub use persist::{SnapshotError, SnapshotHeader, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC};
 pub use pipeline::{run_algorithm, Algorithm, PipelineConfig, PriorChoice, RunOutput};
 pub use posterior::PosteriorModel;
 pub use searcher::{
-    merge_query_outputs, CandidateScan, HashMode, QueryOutput, QueryStats, Searcher,
-    SearcherBuilder, TopKOutput,
+    merge_query_outputs, CandidateScan, HashMode, KnnParams, KnnStats, QueryOutput, QueryStats,
+    Searcher, SearcherBuilder, TopKOutput,
 };
 pub use serving::{Epoch, ServingSearcher};
 pub use sprt::SprtTable;

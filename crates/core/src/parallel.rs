@@ -1,39 +1,34 @@
-//! Parallel verification drivers: the candidate-pair fan-out the paper's
-//! embarrassing parallelism invites.
+//! Parallel verification: the candidate fan-out the paper's embarrassing
+//! parallelism invites.
 //!
-//! Every driver mirrors its serial engine exactly — same pruning table,
-//! same run-major batched agreement counting, same accept/prune decisions —
-//! but partitions
-//! the candidate list into contiguous chunks ([`bayeslsh_numeric::fan_out`])
-//! and merges the per-chunk outputs in chunk order. Because candidate lists
-//! are deterministic and every pair's verdict is a pure function of the
-//! (read-only) signature pool, the merged output is **bit-identical to the
-//! serial engines** whatever the thread count. The one observable
-//! difference is bookkeeping the paper treats as advisory: each worker
-//! keeps its own [`ConcentrationCache`], so cache hit/miss counts depend on
-//! the partition (decisions do not — the cache memoizes a pure function).
+//! A parallel scan partitions its items (batch candidates, or a query's
+//! candidate ids) into contiguous chunks ([`bayeslsh_numeric::fan_out`]),
+//! runs the same `engine::scan` driver on each chunk with its own
+//! copy of the decision rule, and merges the outputs in chunk order.
+//! Because candidate lists are deterministic and every verdict is a pure
+//! function of the (read-only) signature pool, the merged output is
+//! **bit-identical to the serial scan** whatever the thread count. The one
+//! observable difference is bookkeeping the paper treats as advisory: each
+//! worker keeps its own [`crate::cache::ConcentrationCache`], so cache
+//! hit/miss counts depend on the partition (decisions do not — the cache
+//! memoizes a pure function).
 //!
-//! Unlike the lazily-extending serial engines, these drivers take the pool
-//! by shared reference and **require every candidate signature to be
-//! extended to the scan depth already** (use
-//! [`crate::compose::SigPool::par_ensure_ids`] or the pool-specific
-//! `par_ensure_ids`). Under the `Searcher`'s default eager hashing that
-//! pre-extension is a no-op; under lazy hashing it trades some up-front
-//! hashing for wall-clock parallelism. The pre-extension itself runs
-//! through the feature-major / element-major hash kernels with one scratch
-//! buffer per worker, so the whole parallel verification path — hashing
-//! included — performs no per-pair heap allocation in steady state.
+//! Workers read the pool through a shared reference, so every candidate
+//! signature must already reach the rule's scan depth: the batch and query
+//! fronts first extend the [`candidate_ids`] with
+//! [`crate::compose::SigPool::par_ensure_ids`]. Under the `Searcher`'s
+//! default eager hashing that pre-extension is a no-op; under lazy hashing
+//! it trades some up-front hashing for wall-clock parallelism. The
+//! pre-extension itself runs through the feature-major / element-major
+//! hash kernels with one scratch buffer per worker, so the whole parallel
+//! verification path — hashing included — performs no per-pair heap
+//! allocation in steady state.
 
-use bayeslsh_lsh::{Measure, SignaturePool};
+use std::ops::Range;
+
 use bayeslsh_numeric::fan_out;
-use bayeslsh_sparse::{Dataset, SparseVector};
 
-use crate::cache::ConcentrationCache;
-use crate::config::{BayesLshConfig, LiteConfig, SprtConfig};
-use crate::engine::{run_end, EngineStats, RunScan, RunVerdict};
-use crate::minmatch::MinMatchTable;
-use crate::posterior::PosteriorModel;
-use crate::sprt::SprtTable;
+use crate::engine::{DecisionRule, EngineStats};
 
 /// The distinct object ids appearing in `candidates`, in first-encounter
 /// order — the id set a parallel verification must pre-hash. `n_objects`
@@ -54,385 +49,48 @@ pub fn candidate_ids(candidates: &[(u32, u32)], n_objects: usize) -> Vec<u32> {
     ids
 }
 
-/// Parallel exact verification: candidate chunks fan out, each pair gets a
-/// true similarity computation, survivors merge in candidate order —
-/// identical to the serial exact verifier.
-pub fn par_exact_verify(
-    data: &Dataset,
-    measure: Measure,
-    threshold: f64,
-    candidates: &[(u32, u32)],
+/// Run `work` over contiguous chunks of `0..n_items` on up to `threads`
+/// workers, each with a fresh clone of `rule` and its own counters, then
+/// merge in chunk order: outputs concatenate and counters fold into
+/// `stats`.
+pub(crate) fn par_scan<T, R, W>(
+    n_items: usize,
     threads: usize,
-) -> Vec<(u32, u32, f64)> {
-    fan_out(candidates.len(), threads, |_, range| {
-        candidates[range]
-            .iter()
-            .filter_map(|&(a, b)| {
-                let s = measure.eval(data.vector(a), data.vector(b));
-                (s >= threshold).then_some((a, b, s))
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Parallel fixed-`n` MLE verification (the "LSH Approx" baseline).
-/// Signatures must already cover `n_hashes`; output and comparison count
-/// are identical to [`crate::estimator::mle_verify`].
-pub fn par_mle_verify<P>(
-    pool: &P,
-    candidates: &[(u32, u32)],
-    n_hashes: u32,
-    threshold: f64,
-    transform: impl Fn(f64) -> f64 + Sync,
-    threads: usize,
-) -> (Vec<(u32, u32, f64)>, u64)
+    rule: &R,
+    stats: &mut EngineStats,
+    work: W,
+) -> Vec<T>
 where
-    P: SignaturePool + Sync,
+    T: Send,
+    R: DecisionRule + Clone + Sync,
+    W: Fn(Range<usize>, &mut R, &mut EngineStats) -> Vec<T> + Sync,
 {
-    assert!(n_hashes > 0);
-    let transform = &transform;
-    let pairs: Vec<(u32, u32, f64)> = fan_out(candidates.len(), threads, |_, range| {
-        let slice = &candidates[range];
-        let mut out = Vec::new();
-        let mut ids = Vec::new();
-        let mut counts = Vec::new();
-        let mut i = 0usize;
-        while i < slice.len() {
-            // One batched sweep counts the run's probe against every
-            // partner over the full fixed depth.
-            let j = run_end(slice, i);
-            let run = &slice[i..j];
-            let a = run[0].0;
-            ids.clear();
-            ids.extend(run.iter().map(|&(_, b)| b));
-            pool.agreements_batched(a, &ids, 0, n_hashes, &mut counts);
-            for (&(_, b), &m) in run.iter().zip(&counts) {
-                let s_hat = transform(m as f64 / n_hashes as f64);
-                if s_hat >= threshold {
-                    out.push((a, b, s_hat));
-                }
-            }
-            i = j;
-        }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    (pairs, candidates.len() as u64 * n_hashes as u64)
-}
-
-/// Parallel BayesLSH (Algorithm 1). Signatures must already cover the scan
-/// depth `(cfg.max_hashes / cfg.k).max(1) * cfg.k`; pairs, estimates and
-/// every counter except the per-worker cache hit/miss split are identical
-/// to [`crate::engine::bayes_verify`].
-pub fn par_bayes_verify<P, M>(
-    pool: &P,
-    model: &M,
-    candidates: &[(u32, u32)],
-    cfg: &BayesLshConfig,
-    threads: usize,
-) -> (Vec<(u32, u32, f64)>, EngineStats)
-where
-    P: SignaturePool + Sync,
-    M: PosteriorModel + Sync,
-{
-    cfg.validate();
-    let k = cfg.k;
-    let max_chunks = (cfg.max_hashes / k).max(1);
-    let table = MinMatchTable::build(model, cfg.threshold, cfg.epsilon, k, max_chunks * k);
-    let table = &table;
-
-    let results = fan_out(candidates.len(), threads, |_, range| {
-        let mut cache = ConcentrationCache::new(cfg.delta, cfg.gamma);
-        let mut stats = EngineStats {
-            k,
-            pruned_at_chunk: vec![0; max_chunks as usize],
-            ..Default::default()
-        };
-        let mut out = Vec::new();
-        // Run-major batched scan: identical per-pair (m, n) trajectories to
-        // the serial engine, just counted a run at a time. The pool is
-        // pre-extended, so no `ensure` calls here.
-        let slice = &candidates[range];
-        let mut scan = RunScan::default();
-        let mut i = 0usize;
-        while i < slice.len() {
-            let j = run_end(slice, i);
-            let run = &slice[i..j];
-            let a = run[0].0;
-            scan.reset(run.len());
-            let mut n = 0u32;
-            for c in 0..max_chunks {
-                if scan.alive.is_empty() {
-                    break;
-                }
-                scan.alive_ids.clear();
-                scan.alive_ids
-                    .extend(scan.alive.iter().map(|&r| run[r as usize].1));
-                pool.agreements_batched(a, &scan.alive_ids, n, n + k, &mut scan.counts);
-                n += k;
-                stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-                let mut kept = 0usize;
-                for t in 0..scan.alive.len() {
-                    let r = scan.alive[t] as usize;
-                    let m = scan.m[r] + scan.counts[t];
-                    scan.m[r] = m;
-                    if table.should_prune(m, n) {
-                        stats.pruned += 1;
-                        stats.pruned_at_chunk[c as usize] += 1;
-                        scan.verdicts[r] = RunVerdict::Pruned;
-                    } else if cache.is_concentrated(model, m, n) {
-                        scan.verdicts[r] = RunVerdict::Emit(model.map_estimate(m, n));
-                        stats.accepted += 1;
-                    } else {
-                        scan.alive[kept] = r as u32;
-                        kept += 1;
-                    }
-                }
-                scan.alive.truncate(kept);
-            }
-            for &r in &scan.alive {
-                scan.verdicts[r as usize] =
-                    RunVerdict::Emit(model.map_estimate(scan.m[r as usize], n));
-                stats.accepted += 1;
-                stats.forced_accepts += 1;
-            }
-            for (r, &(_, b)) in run.iter().enumerate() {
-                if let RunVerdict::Emit(est) = scan.verdicts[r] {
-                    out.push((a, b, est));
-                }
-            }
-            i = j;
-        }
-        let (hits, misses) = cache.stats();
-        stats.cache_hits = hits;
-        stats.cache_misses = misses;
-        (out, stats)
+    let parts = fan_out(n_items, threads, |_, range| {
+        let mut rule = rule.clone();
+        let mut local = EngineStats::for_rule(0, &rule);
+        let out = work(range, &mut rule, &mut local);
+        (local.cache_hits, local.cache_misses) = rule.cache_stats();
+        (out, local)
     });
-
-    merge(candidates.len() as u64, k, max_chunks, results)
-}
-
-/// Parallel BayesLSH-Lite (Algorithm 2). Signatures must already cover the
-/// scan depth `(cfg.h / cfg.k).max(1) * cfg.k`; output and counters are
-/// identical to [`crate::engine::bayes_verify_lite`].
-pub fn par_bayes_verify_lite<P, M, F>(
-    data: &Dataset,
-    pool: &P,
-    model: &M,
-    candidates: &[(u32, u32)],
-    cfg: &LiteConfig,
-    exact: F,
-    threads: usize,
-) -> (Vec<(u32, u32, f64)>, EngineStats)
-where
-    P: SignaturePool + Sync,
-    M: PosteriorModel + Sync,
-    F: Fn(&SparseVector, &SparseVector) -> f64 + Sync,
-{
-    cfg.validate();
-    let k = cfg.k;
-    let max_chunks = (cfg.h / k).max(1);
-    let table = MinMatchTable::build(model, cfg.threshold, cfg.epsilon, k, max_chunks * k);
-    let (table, exact) = (&table, &exact);
-
-    let results = fan_out(candidates.len(), threads, |_, range| {
-        let mut stats = EngineStats {
-            k,
-            pruned_at_chunk: vec![0; max_chunks as usize],
-            ..Default::default()
-        };
-        let mut out = Vec::new();
-        // Same run-major batched scan as the Bayes driver, prune-only;
-        // survivors (still `Pending`) get the exact check in candidate
-        // order.
-        let slice = &candidates[range];
-        let mut scan = RunScan::default();
-        let mut i = 0usize;
-        while i < slice.len() {
-            let j = run_end(slice, i);
-            let run = &slice[i..j];
-            let a = run[0].0;
-            let va = data.vector(a);
-            scan.reset(run.len());
-            let mut n = 0u32;
-            for c in 0..max_chunks {
-                if scan.alive.is_empty() {
-                    break;
-                }
-                scan.alive_ids.clear();
-                scan.alive_ids
-                    .extend(scan.alive.iter().map(|&r| run[r as usize].1));
-                pool.agreements_batched(a, &scan.alive_ids, n, n + k, &mut scan.counts);
-                n += k;
-                stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-                let mut kept = 0usize;
-                for t in 0..scan.alive.len() {
-                    let r = scan.alive[t] as usize;
-                    let m = scan.m[r] + scan.counts[t];
-                    scan.m[r] = m;
-                    if table.should_prune(m, n) {
-                        stats.pruned += 1;
-                        stats.pruned_at_chunk[c as usize] += 1;
-                        scan.verdicts[r] = RunVerdict::Pruned;
-                    } else {
-                        scan.alive[kept] = r as u32;
-                        kept += 1;
-                    }
-                }
-                scan.alive.truncate(kept);
-            }
-            for (r, &(_, b)) in run.iter().enumerate() {
-                if matches!(scan.verdicts[r], RunVerdict::Pending) {
-                    stats.exact_verifications += 1;
-                    let s = exact(va, data.vector(b));
-                    if s >= cfg.threshold {
-                        out.push((a, b, s));
-                        stats.accepted += 1;
-                    }
-                }
-            }
-            i = j;
-        }
-        (out, stats)
-    });
-
-    merge(candidates.len() as u64, k, max_chunks, results)
-}
-
-/// Parallel SPRT verification. Signatures must already cover the scan
-/// depth `(cfg.max_hashes / cfg.k).max(1) * cfg.k`; output and counters
-/// are identical to [`crate::engine::sprt_verify`] (every verdict is a
-/// pure function of the cumulative `(m, n)` at a chunk boundary, so the
-/// partition cannot move a decision).
-#[allow(clippy::too_many_arguments)]
-pub fn par_sprt_verify<P, F>(
-    data: &Dataset,
-    pool: &P,
-    candidates: &[(u32, u32)],
-    cfg: &SprtConfig,
-    collision: impl Fn(f64) -> f64,
-    estimate: impl Fn(f64) -> f64 + Sync,
-    exact: F,
-    threads: usize,
-) -> (Vec<(u32, u32, f64)>, EngineStats)
-where
-    P: SignaturePool + Sync,
-    F: Fn(&SparseVector, &SparseVector) -> f64 + Sync,
-{
-    let table = SprtTable::build(cfg, collision);
-    let k = cfg.k;
-    let max_chunks = (cfg.max_hashes / k).max(1);
-    let (table, estimate, exact) = (&table, &estimate, &exact);
-
-    let results = fan_out(candidates.len(), threads, |_, range| {
-        let mut stats = EngineStats {
-            k,
-            pruned_at_chunk: vec![0; max_chunks as usize],
-            ..Default::default()
-        };
-        let mut out = Vec::new();
-        // Same run-major batched scan as the serial engine; the pool is
-        // pre-extended, so no `ensure` calls here.
-        let slice = &candidates[range];
-        let mut scan = RunScan::default();
-        let mut i = 0usize;
-        while i < slice.len() {
-            let j = run_end(slice, i);
-            let run = &slice[i..j];
-            let a = run[0].0;
-            let va = data.vector(a);
-            scan.reset(run.len());
-            let mut n = 0u32;
-            for c in 0..max_chunks {
-                if scan.alive.is_empty() {
-                    break;
-                }
-                scan.alive_ids.clear();
-                scan.alive_ids
-                    .extend(scan.alive.iter().map(|&r| run[r as usize].1));
-                pool.agreements_batched(a, &scan.alive_ids, n, n + k, &mut scan.counts);
-                n += k;
-                stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-                let mut kept = 0usize;
-                for t in 0..scan.alive.len() {
-                    let r = scan.alive[t] as usize;
-                    let m = scan.m[r] + scan.counts[t];
-                    scan.m[r] = m;
-                    if table.should_prune(m, n) {
-                        stats.pruned += 1;
-                        stats.pruned_at_chunk[c as usize] += 1;
-                        scan.verdicts[r] = RunVerdict::Pruned;
-                    } else if table.should_accept(m, n) {
-                        scan.verdicts[r] = RunVerdict::Emit(estimate(m as f64 / n as f64));
-                        stats.accepted += 1;
-                    } else {
-                        scan.alive[kept] = r as u32;
-                        kept += 1;
-                    }
-                }
-                scan.alive.truncate(kept);
-            }
-            for (r, &(_, b)) in run.iter().enumerate() {
-                match scan.verdicts[r] {
-                    RunVerdict::Emit(est) => out.push((a, b, est)),
-                    RunVerdict::Pending => {
-                        stats.exact_verifications += 1;
-                        let s = exact(va, data.vector(b));
-                        if s >= cfg.threshold {
-                            out.push((a, b, s));
-                            stats.accepted += 1;
-                        }
-                    }
-                    RunVerdict::Pruned => {}
-                }
-            }
-            i = j;
-        }
-        (out, stats)
-    });
-
-    merge(candidates.len() as u64, k, max_chunks, results)
-}
-
-/// One worker's verification output: surviving pairs plus its counters.
-type ChunkResult = (Vec<(u32, u32, f64)>, EngineStats);
-
-/// Merge per-chunk verification results in chunk order: outputs
-/// concatenate (preserving candidate order), counters add.
-fn merge(
-    input_pairs: u64,
-    k: u32,
-    max_chunks: u32,
-    results: Vec<ChunkResult>,
-) -> (Vec<(u32, u32, f64)>, EngineStats) {
-    let mut pairs = Vec::new();
-    let mut stats = EngineStats {
-        input_pairs,
-        k,
-        pruned_at_chunk: vec![0; max_chunks as usize],
-        ..Default::default()
-    };
-    for (chunk_pairs, chunk_stats) in results {
-        pairs.extend(chunk_pairs);
-        stats.absorb(&chunk_stats);
+    let mut out = Vec::new();
+    for (part, local) in parts {
+        out.extend(part);
+        stats.absorb(&local);
     }
-    (pairs, stats)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compose::{SearchContext, SigPool, Verifier, VerifierKind};
     use crate::cosine_model::CosineModel;
     use crate::engine::{bayes_verify, bayes_verify_lite, sprt_verify};
     use crate::estimator::mle_verify;
-    use bayeslsh_lsh::{cos_to_r, r_to_cos, BitSignatures, SrpHasher};
-    use bayeslsh_numeric::Xoshiro256;
-    use bayeslsh_sparse::cosine;
+    use crate::pipeline::PipelineConfig;
+    use bayeslsh_lsh::{cos_to_r, r_to_cos};
+    use bayeslsh_numeric::{Parallelism, Xoshiro256};
+    use bayeslsh_sparse::{cosine, Dataset, SparseVector};
 
     fn corpus(seed: u64) -> Dataset {
         let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -476,70 +134,66 @@ mod tests {
     }
 
     #[test]
-    fn parallel_drivers_match_serial_engines() {
+    fn scans_at_every_thread_count_match_the_serial_engines() {
         let data = corpus(401);
         let cands = all_pairs(data.len() as u32);
-        let cfg = BayesLshConfig::cosine(0.7);
-        let lite = LiteConfig::cosine(0.7);
+        let mut cfg = PipelineConfig::cosine(0.7);
+        cfg.approx_hashes = 256;
         let model = CosineModel::new();
+        let fresh = || SigPool::for_config(&cfg, &data);
 
-        // Serial references (lazily extending pools).
-        let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
-        let (serial_bayes, serial_bayes_stats) =
-            bayes_verify(&data, &mut pool, &model, &cands, &cfg);
-        let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
-        let (serial_lite, serial_lite_stats) =
-            bayes_verify_lite(&data, &mut pool, &model, &cands, &lite, cosine);
-        let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
-        let (serial_mle, serial_comps) = mle_verify(&data, &mut pool, &cands, 256, 0.7, r_to_cos);
-        let sprt = SprtConfig::cosine(0.7);
-        let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
-        let (serial_sprt, serial_sprt_stats) =
-            sprt_verify(&data, &mut pool, &cands, &sprt, cos_to_r, r_to_cos, cosine);
+        // Serial references: the public engines over lazily extending pools.
+        let (bayes, bayes_stats) = bayes_verify(&data, &mut fresh(), &model, &cands, &cfg.bayes());
+        let (lite, lite_stats) =
+            bayes_verify_lite(&data, &mut fresh(), &model, &cands, &cfg.lite(), cosine);
+        let (mle, _) = mle_verify(&data, &mut fresh(), &cands, 256, 0.7, r_to_cos);
+        let sprt_cfg = cfg.sprt();
+        let (sprt, sprt_stats) = sprt_verify(
+            &data,
+            &mut fresh(),
+            &cands,
+            &sprt_cfg,
+            cos_to_r,
+            r_to_cos,
+            cosine,
+        );
+        let exact: Vec<(u32, u32, f64)> = cands
+            .iter()
+            .map(|&(a, b)| (a, b, cosine(data.vector(a), data.vector(b))))
+            .filter(|&(_, _, s)| s >= 0.7)
+            .collect();
+        let reference = [
+            (VerifierKind::Exact, exact, None),
+            (VerifierKind::Mle, mle, None),
+            (VerifierKind::Bayes, bayes, Some(bayes_stats)),
+            (VerifierKind::BayesLite, lite, Some(lite_stats)),
+            (VerifierKind::Sprt, sprt, Some(sprt_stats)),
+        ];
 
-        let ids = candidate_ids(&cands, data.len());
-        for threads in [1usize, 2, 4, 8] {
-            let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
-            pool.par_ensure_ids(&data, &ids, cfg.max_hashes, threads);
-            let (pairs, stats) = par_bayes_verify(&pool, &model, &cands, &cfg, threads);
-            assert_eq!(pairs, serial_bayes, "bayes pairs, threads {threads}");
-            assert_eq!(stats.pruned, serial_bayes_stats.pruned);
-            assert_eq!(stats.accepted, serial_bayes_stats.accepted);
-            assert_eq!(stats.forced_accepts, serial_bayes_stats.forced_accepts);
-            assert_eq!(stats.hash_comparisons, serial_bayes_stats.hash_comparisons);
-            assert_eq!(stats.pruned_at_chunk, serial_bayes_stats.pruned_at_chunk);
-
-            let (pairs, stats) =
-                par_bayes_verify_lite(&data, &pool, &model, &cands, &lite, cosine, threads);
-            assert_eq!(pairs, serial_lite, "lite pairs, threads {threads}");
-            assert_eq!(stats.pruned, serial_lite_stats.pruned);
-            assert_eq!(
-                stats.exact_verifications,
-                serial_lite_stats.exact_verifications
-            );
-
-            let (pairs, stats) = par_sprt_verify(
-                &data, &pool, &cands, &sprt, cos_to_r, r_to_cos, cosine, threads,
-            );
-            assert_eq!(pairs, serial_sprt, "sprt pairs, threads {threads}");
-            assert_eq!(stats.pruned, serial_sprt_stats.pruned);
-            assert_eq!(stats.accepted, serial_sprt_stats.accepted);
-            assert_eq!(
-                stats.exact_verifications,
-                serial_sprt_stats.exact_verifications
-            );
-            assert_eq!(stats.hash_comparisons, serial_sprt_stats.hash_comparisons);
-            assert_eq!(stats.pruned_at_chunk, serial_sprt_stats.pruned_at_chunk);
-
-            let mut mle_pool = BitSignatures::new(SrpHasher::new(data.dim(), 402), data.len());
-            mle_pool.par_ensure_ids(&data, &ids, 256, threads);
-            let (pairs, comps) = par_mle_verify(&mle_pool, &cands, 256, 0.7, r_to_cos, threads);
-            assert_eq!(pairs, serial_mle, "mle pairs, threads {threads}");
-            assert_eq!(comps, serial_comps);
-
-            let exact = par_exact_verify(&data, Measure::Cosine, 0.7, &cands, threads);
-            let serial_exact = par_exact_verify(&data, Measure::Cosine, 0.7, &cands, 1);
-            assert_eq!(exact, serial_exact);
+        for threads in [1u32, 2, 4, 8] {
+            let mut cfg = cfg;
+            cfg.parallelism = Parallelism::threads(threads);
+            for (kind, pairs, stats) in &reference {
+                let mut pool = SigPool::for_config(&cfg, &data);
+                let mut ctx = SearchContext {
+                    data: &data,
+                    cfg: &cfg,
+                    pool: &mut pool,
+                    index: None,
+                };
+                let (got, got_stats) = kind.verify(&mut ctx, &cands);
+                assert_eq!(&got, pairs, "{kind:?} pairs, threads {threads}");
+                assert_eq!(got_stats.is_some(), stats.is_some(), "{kind:?}");
+                if let (Some(got), Some(want)) = (got_stats, stats) {
+                    assert_eq!(got.input_pairs, want.input_pairs);
+                    assert_eq!(got.pruned, want.pruned, "{kind:?}, threads {threads}");
+                    assert_eq!(got.accepted, want.accepted);
+                    assert_eq!(got.forced_accepts, want.forced_accepts);
+                    assert_eq!(got.exact_verifications, want.exact_verifications);
+                    assert_eq!(got.hash_comparisons, want.hash_comparisons);
+                    assert_eq!(got.pruned_at_chunk, want.pruned_at_chunk);
+                }
+            }
         }
     }
 }

@@ -1,4 +1,11 @@
-//! The posterior-inference interface shared by all BayesLSH instantiations.
+//! The posterior-inference interface shared by all BayesLSH instantiations,
+//! and the one place a hash family picks its model.
+
+use bayeslsh_lsh::{FamilyConfig, Measure};
+
+use crate::cosine_model::CosineModel;
+use crate::family_model::FamilyModel;
+use crate::jaccard_model::JaccardModel;
 
 /// Bayesian inference over a pair's similarity after observing hash
 /// agreements.
@@ -23,6 +30,60 @@ pub trait PosteriorModel {
 
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
+}
+
+/// The posterior model a pipeline's hash family verifies with: the cosine
+/// model for SRP bits (cosine, and MIPS on augmented vectors), a Jaccard
+/// model for minhashes, and the family-generic model for L2. Batch joins,
+/// threshold queries and top-k all choose their model here.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Posterior {
+    Cosine(CosineModel),
+    Jaccard(JaccardModel),
+    Family(FamilyModel),
+}
+
+impl Posterior {
+    /// The model for `family`. `jaccard` supplies the Jaccard prior (fitted
+    /// from a batch's candidates, uniform for point queries); it runs only
+    /// for the Jaccard family.
+    pub(crate) fn for_family(family: FamilyConfig, jaccard: impl FnOnce() -> JaccardModel) -> Self {
+        match family.measure() {
+            Measure::Cosine | Measure::Mips => Posterior::Cosine(CosineModel::new()),
+            Measure::Jaccard => Posterior::Jaccard(jaccard()),
+            Measure::L2 => Posterior::Family(FamilyModel::new(family)),
+        }
+    }
+}
+
+/// Forwards one call to the model inside a [`Posterior`], by static
+/// dispatch (the verification loop makes no `dyn` call).
+macro_rules! forward {
+    ($self:ident, $m:ident => $call:expr) => {
+        match $self {
+            Posterior::Cosine($m) => $call,
+            Posterior::Jaccard($m) => $call,
+            Posterior::Family($m) => $call,
+        }
+    };
+}
+
+impl PosteriorModel for Posterior {
+    fn prob_above_threshold(&self, m: u32, n: u32, t: f64) -> f64 {
+        forward!(self, model => model.prob_above_threshold(m, n, t))
+    }
+
+    fn map_estimate(&self, m: u32, n: u32) -> f64 {
+        forward!(self, model => model.map_estimate(m, n))
+    }
+
+    fn concentration(&self, m: u32, n: u32, delta: f64) -> f64 {
+        forward!(self, model => model.concentration(m, n, delta))
+    }
+
+    fn name(&self) -> &'static str {
+        forward!(self, model => model.name())
+    }
 }
 
 #[cfg(test)]

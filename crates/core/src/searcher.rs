@@ -9,8 +9,8 @@
 //!   configured [`Composition`];
 //! * [`Searcher::query`] — threshold point queries for one vector;
 //! * [`Searcher::top_k`] — k-nearest-neighbour retrieval with Bayesian
-//!   candidate pruning (the paper's future-work item, previously siloed in
-//!   [`crate::knn::KnnIndex`]);
+//!   candidate pruning against the rising k-th-best similarity (the
+//!   paper's future-work item);
 //! * [`Searcher::insert`] — incremental corpus growth, extending the
 //!   signature pool and banding index in place.
 //!
@@ -48,29 +48,24 @@
 //! for serving reads concurrently with a writer.
 
 use std::collections::BinaryHeap;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use bayeslsh_candgen::{BandingIndex, BandingPlan};
 use bayeslsh_lsh::{Measure, SignaturePool};
-use bayeslsh_numeric::{fan_out, Parallelism};
+use bayeslsh_numeric::Parallelism;
 use bayeslsh_sparse::{Dataset, SparseVector};
 
-use crate::cache::ConcentrationCache;
 use crate::compose::{
-    l2_width, run_composition_prechecked, Composition, CompositionOutput, GeneratorKind,
-    SearchContext, SigPool, VerifierKind,
+    run_composition_prechecked, with_rule, Composition, CompositionOutput, GeneratorKind,
+    ScanFront, SearchContext, SigPool,
 };
-use crate::config::SprtConfig;
-use crate::cosine_model::CosineModel;
-use crate::engine::{RunScan, RunVerdict};
+use crate::engine::{scan, DecisionRule, EngineStats, Scratch};
 use crate::error::SearchError;
-use crate::family_model::FamilyModel;
 use crate::jaccard_model::JaccardModel;
-use crate::knn::{HeapItem, KnnParams, KnnStats};
-use crate::minmatch::{MinMatchCache, MinMatchTable};
+use crate::minmatch::MinMatchCache;
+use crate::parallel::par_scan;
 use crate::pipeline::{Algorithm, PipelineConfig};
-use crate::posterior::PosteriorModel;
-use crate::sprt::SprtTable;
+use crate::posterior::{Posterior, PosteriorModel};
 
 /// When corpus signatures are hashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -317,6 +312,103 @@ pub fn merge_query_outputs(parts: Vec<QueryOutput>) -> QueryOutput {
     }
     neighbors.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     QueryOutput { neighbors, stats }
+}
+
+/// Top-k query parameters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KnnParams {
+    /// Recall parameter: prune a candidate once
+    /// `Pr[S ≥ current kth-best | M(m,n)] < ε`.
+    pub epsilon: f64,
+    /// Hashes compared per pruning iteration.
+    pub chunk: u32,
+    /// Hash budget per candidate before falling through to the exact
+    /// computation (the Lite `h`).
+    pub h: u32,
+    /// Minimum similarity of interest: used as the pruning threshold while
+    /// fewer than `k` neighbours have been found.
+    pub floor: f64,
+}
+
+impl Default for KnnParams {
+    fn default() -> Self {
+        Self {
+            epsilon: 0.03,
+            chunk: 32,
+            h: 128,
+            floor: 0.1,
+        }
+    }
+}
+
+impl KnnParams {
+    /// Check a request for the top `k` neighbours under these parameters:
+    /// `k ≥ 1`, `ε ∈ (0, 1)`, `h ≥ chunk ≥ 1`, and a finite `floor` below
+    /// 1 (a NaN floor would poison the posterior tail, and a floor of 1 or
+    /// more prunes every candidate). [`Searcher::top_k`] and the shard
+    /// router's `top_k` both run this check first.
+    ///
+    /// # Errors
+    ///
+    /// [`SearchError::InvalidConfig`] naming the offending parameter.
+    pub fn validate(&self, k: usize) -> Result<(), SearchError> {
+        if k == 0 {
+            return Err(SearchError::invalid("k", "need at least one neighbour"));
+        }
+        if !(self.epsilon > 0.0 && self.epsilon < 1.0) {
+            return Err(SearchError::invalid(
+                "epsilon",
+                format!("must lie in (0, 1), got {}", self.epsilon),
+            ));
+        }
+        if self.chunk < 1 || self.h < self.chunk {
+            return Err(SearchError::invalid(
+                "chunk",
+                format!(
+                    "need h >= chunk >= 1, got chunk {} h {}",
+                    self.chunk, self.h
+                ),
+            ));
+        }
+        if !(self.floor.is_finite() && self.floor < 1.0) {
+            return Err(SearchError::invalid(
+                "floor",
+                format!("must be finite and below 1, got {}", self.floor),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Top-k query statistics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KnnStats {
+    /// Candidates produced by the banding probe.
+    pub candidates: u64,
+    /// Candidates pruned by the posterior test.
+    pub pruned: u64,
+    /// Exact similarity computations.
+    pub exact: u64,
+    /// Hash comparisons performed.
+    pub hash_comparisons: u64,
+}
+
+/// Total-ordered (similarity, id) pair for the top-k heap.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct HeapItem(f64, u32);
+
+impl Eq for HeapItem {}
+
+impl PartialOrd for HeapItem {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for HeapItem {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+    }
 }
 
 /// The adjudicated fate of one candidate in a [`Searcher::top_k`] scan,
@@ -627,27 +719,9 @@ impl Searcher {
                 if cand_ids.iter().all(|&id| pool.len(id) >= scan_cap) {
                     stats.candidates = cand_ids.len() as u64;
                     stats.bucket_probes = probes_done;
-                    let mut access = ReadPool(&pool);
-                    let mut neighbors = if self.threads > 1 {
-                        self.par_verify_query(
-                            &mut access,
-                            q,
-                            threshold,
-                            &sig,
-                            &cand_ids,
-                            &mut stats,
-                        )
-                    } else {
-                        self.serial_verify_query(
-                            &mut access,
-                            q,
-                            threshold,
-                            &sig,
-                            &cand_ids,
-                            &mut stats,
-                        )
-                    };
-                    neighbors.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                    let access = &mut ReadPool(&pool);
+                    let neighbors =
+                        self.verify_query(access, q, threshold, &sig, &cand_ids, &mut stats);
                     return Ok(QueryOutput { neighbors, stats });
                 }
             }
@@ -667,13 +741,8 @@ impl Searcher {
         let (cand_ids, probes_done) = self.probe_query_index(&pool, q, &keys);
         stats.candidates = cand_ids.len() as u64;
         stats.bucket_probes = probes_done;
-        let mut access = WritePool(&mut pool);
-        let mut neighbors = if self.threads > 1 {
-            self.par_verify_query(&mut access, q, threshold, &sig, &cand_ids, &mut stats)
-        } else {
-            self.serial_verify_query(&mut access, q, threshold, &sig, &cand_ids, &mut stats)
-        };
-        neighbors.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let access = &mut WritePool(&mut pool);
+        let neighbors = self.verify_query(access, q, threshold, &sig, &cand_ids, &mut stats);
         Ok(QueryOutput { neighbors, stats })
     }
 
@@ -732,643 +801,37 @@ impl Searcher {
         self.index.probe_multi(&seqs)
     }
 
-    /// Serial candidate verification for [`Searcher::query`] (lazily
-    /// extending the pool as the paper's economy argument prefers). The
-    /// exact and MLE arms share the parallel implementations — at one
-    /// thread those run inline and compare every candidate to the same
-    /// fixed depth a dedicated serial loop would, so only the Bayesian
-    /// arms (whose laziness matters) keep serial twins.
-    fn serial_verify_query<P: PoolAccess>(
+    /// Verify a threshold query's candidates with the composition's
+    /// verifier (see [`QueryFront`]), folding the scan's counters into
+    /// `stats`; neighbours come back sorted by decreasing similarity, ties
+    /// toward the lower id.
+    fn verify_query<P: PoolAccess>(
         &self,
         pool: &mut P,
         q: &SparseVector,
-        threshold: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        match self.composition.verifier {
-            VerifierKind::Exact => self.par_query_exact(q, threshold, cand_ids, stats),
-            VerifierKind::Mle => self.par_query_mle(pool, threshold, sig, cand_ids, stats),
-            VerifierKind::Bayes => match self.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => {
-                    self.query_bayes(pool, &CosineModel::new(), threshold, sig, cand_ids, stats)
-                }
-                // The fitted prior is a batch concept (it samples candidate
-                // *pairs*); point queries fall back to the uniform prior.
-                Measure::Jaccard => self.query_bayes(
-                    pool,
-                    &JaccardModel::uniform(),
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-                Measure::L2 => self.query_bayes(
-                    pool,
-                    &FamilyModel::new(self.cfg.family),
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-            },
-            VerifierKind::BayesLite => match self.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => self.query_bayes_lite(
-                    pool,
-                    &CosineModel::new(),
-                    q,
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-                Measure::Jaccard => self.query_bayes_lite(
-                    pool,
-                    &JaccardModel::uniform(),
-                    q,
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-                Measure::L2 => self.query_bayes_lite(
-                    pool,
-                    &FamilyModel::new(self.cfg.family),
-                    q,
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-            },
-            VerifierKind::Sprt => self.query_sprt(pool, q, threshold, sig, cand_ids, stats),
-        }
-    }
-
-    /// Parallel candidate verification for [`Searcher::query`]: candidate
-    /// signatures are pre-extended to the verifier's scan depth (a no-op
-    /// under eager hashing), then candidate chunks fan out across the
-    /// resolved thread budget and merge in candidate order — results and
-    /// counters are bit-identical to [`Searcher::serial_verify_query`].
-    fn par_verify_query<P: PoolAccess>(
-        &self,
-        pool: &mut P,
-        q: &SparseVector,
-        threshold: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        match self.composition.verifier {
-            VerifierKind::Exact => self.par_query_exact(q, threshold, cand_ids, stats),
-            VerifierKind::Mle => self.par_query_mle(pool, threshold, sig, cand_ids, stats),
-            VerifierKind::Bayes => match self.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => {
-                    self.par_query_bayes(pool, &CosineModel::new(), threshold, sig, cand_ids, stats)
-                }
-                Measure::Jaccard => self.par_query_bayes(
-                    pool,
-                    &JaccardModel::uniform(),
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-                Measure::L2 => self.par_query_bayes(
-                    pool,
-                    &FamilyModel::new(self.cfg.family),
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-            },
-            VerifierKind::BayesLite => match self.cfg.family.measure() {
-                Measure::Cosine | Measure::Mips => self.par_query_bayes_lite(
-                    pool,
-                    &CosineModel::new(),
-                    q,
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-                Measure::Jaccard => self.par_query_bayes_lite(
-                    pool,
-                    &JaccardModel::uniform(),
-                    q,
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-                Measure::L2 => self.par_query_bayes_lite(
-                    pool,
-                    &FamilyModel::new(self.cfg.family),
-                    q,
-                    threshold,
-                    sig,
-                    cand_ids,
-                    stats,
-                ),
-            },
-            VerifierKind::Sprt => self.par_query_sprt(pool, q, threshold, sig, cand_ids, stats),
-        }
-    }
-
-    fn par_query_exact(
-        &self,
-        q: &SparseVector,
-        t: f64,
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let measure = self.cfg.family.measure();
-        let data = &self.data;
-        let chunks = fan_out(cand_ids.len(), self.threads, |_, range| {
-            cand_ids[range]
-                .iter()
-                .filter_map(|&id| {
-                    let s = measure.eval(q, data.vector(id));
-                    (s >= t).then_some((id, s))
-                })
-                .collect::<Vec<_>>()
-        });
-        stats.exact += cand_ids.len() as u64;
-        chunks.into_iter().flatten().collect()
-    }
-
-    fn par_query_mle<P: PoolAccess>(
-        &self,
-        pool: &mut P,
         t: f64,
         sig: &[u32],
         cand_ids: &[u32],
         stats: &mut QueryStats,
     ) -> Vec<(u32, f64)> {
-        let n = self.cfg.approx_hashes;
-        pool.par_ensure_ids(&self.data, cand_ids, n, self.threads);
-        let pool = pool.get();
-        let this = self;
-        let chunks = fan_out(cand_ids.len(), self.threads, |_, range| {
-            // One batched word-parallel sweep per worker chunk.
-            let ids = &cand_ids[range];
-            let mut counts = Vec::new();
-            pool.query_agreements_batched(sig, ids, 0, n, &mut counts);
-            ids.iter()
-                .zip(&counts)
-                .filter_map(|(&id, &m)| {
-                    let s_hat = this.to_similarity(m as f64 / n as f64);
-                    (s_hat >= t).then_some((id, s_hat))
-                })
-                .collect::<Vec<_>>()
-        });
-        stats.hash_comparisons += cand_ids.len() as u64 * n as u64;
-        chunks.into_iter().flatten().collect()
-    }
-
-    fn par_query_bayes<P: PoolAccess, M: PosteriorModel + Sync>(
-        &self,
-        pool: &mut P,
-        model: &M,
-        t: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let k = self.cfg.k;
-        let max_chunks = (self.cfg.max_hashes / k).max(1);
-        pool.par_ensure_ids(&self.data, cand_ids, max_chunks * k, self.threads);
-        let pool = pool.get();
-        let table = self.query_minmatch(model, t, max_chunks * k);
-        let this = self;
-        let table = &*table;
-        let results = fan_out(cand_ids.len(), self.threads, |_, range| {
-            let mut cache = ConcentrationCache::new(this.cfg.delta, this.cfg.gamma);
-            let mut local = QueryStats::default();
-            let mut out = Vec::new();
-            // Chunk-major batched scan over the worker's candidate slice:
-            // all surviving candidates have their next `k` hashes counted
-            // against the query signature in one word-parallel sweep.
-            // Per-candidate (m, n) trajectories and verdicts are identical
-            // to the candidate-at-a-time loop this replaced.
-            let ids = &cand_ids[range];
-            let mut scan = RunScan::default();
-            scan.reset(ids.len());
-            let mut n = 0u32;
-            for _ in 0..max_chunks {
-                if scan.alive.is_empty() {
-                    break;
-                }
-                scan.alive_ids.clear();
-                scan.alive_ids
-                    .extend(scan.alive.iter().map(|&r| ids[r as usize]));
-                pool.query_agreements_batched(sig, &scan.alive_ids, n, n + k, &mut scan.counts);
-                n += k;
-                local.hash_comparisons += k as u64 * scan.alive.len() as u64;
-                let mut kept = 0usize;
-                for t_idx in 0..scan.alive.len() {
-                    let r = scan.alive[t_idx] as usize;
-                    let m = scan.m[r] + scan.counts[t_idx];
-                    scan.m[r] = m;
-                    if table.should_prune(m, n) {
-                        local.pruned += 1;
-                        scan.verdicts[r] = RunVerdict::Pruned;
-                    } else if cache.is_concentrated(model, m, n) {
-                        scan.verdicts[r] = RunVerdict::Emit(model.map_estimate(m, n));
-                    } else {
-                        scan.alive[kept] = r as u32;
-                        kept += 1;
-                    }
-                }
-                scan.alive.truncate(kept);
-            }
-            for &r in &scan.alive {
-                // Unconcentrated at the cap: emit with the current estimate,
-                // mirroring the batch engine's recall guarantee.
-                scan.verdicts[r as usize] =
-                    RunVerdict::Emit(model.map_estimate(scan.m[r as usize], n));
-            }
-            for (r, &id) in ids.iter().enumerate() {
-                if let RunVerdict::Emit(est) = scan.verdicts[r] {
-                    out.push((id, est));
-                }
-            }
-            (out, local)
-        });
-        merge_query_chunks(results, stats)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn par_query_bayes_lite<P: PoolAccess, M: PosteriorModel + Sync>(
-        &self,
-        pool: &mut P,
-        model: &M,
-        q: &SparseVector,
-        t: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let k = self.cfg.k;
-        let max_chunks = (self.cfg.lite_h / k).max(1);
-        pool.par_ensure_ids(&self.data, cand_ids, max_chunks * k, self.threads);
-        let pool = pool.get();
-        let table = self.query_minmatch(model, t, max_chunks * k);
-        let this = self;
-        let table = &*table;
-        let measure = self.cfg.family.measure();
-        let results = fan_out(cand_ids.len(), self.threads, |_, range| {
-            let mut local = QueryStats::default();
-            let mut out = Vec::new();
-            // Prune-only chunk-major batched scan; survivors (still
-            // `Pending`) get the exact check in candidate order.
-            let ids = &cand_ids[range];
-            let mut scan = RunScan::default();
-            scan.reset(ids.len());
-            let mut n = 0u32;
-            for _ in 0..max_chunks {
-                if scan.alive.is_empty() {
-                    break;
-                }
-                scan.alive_ids.clear();
-                scan.alive_ids
-                    .extend(scan.alive.iter().map(|&r| ids[r as usize]));
-                pool.query_agreements_batched(sig, &scan.alive_ids, n, n + k, &mut scan.counts);
-                n += k;
-                local.hash_comparisons += k as u64 * scan.alive.len() as u64;
-                let mut kept = 0usize;
-                for t_idx in 0..scan.alive.len() {
-                    let r = scan.alive[t_idx] as usize;
-                    let m = scan.m[r] + scan.counts[t_idx];
-                    scan.m[r] = m;
-                    if table.should_prune(m, n) {
-                        local.pruned += 1;
-                        scan.verdicts[r] = RunVerdict::Pruned;
-                    } else {
-                        scan.alive[kept] = r as u32;
-                        kept += 1;
-                    }
-                }
-                scan.alive.truncate(kept);
-            }
-            for (r, &id) in ids.iter().enumerate() {
-                if matches!(scan.verdicts[r], RunVerdict::Pending) {
-                    local.exact += 1;
-                    let s = measure.eval(q, this.data.vector(id));
-                    if s >= t {
-                        out.push((id, s));
-                    }
-                }
-            }
-            (out, local)
-        });
-        merge_query_chunks(results, stats)
-    }
-
-    fn query_bayes<P: PoolAccess, M: PosteriorModel>(
-        &self,
-        pool: &mut P,
-        model: &M,
-        t: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let k = self.cfg.k;
-        let max_chunks = (self.cfg.max_hashes / k).max(1);
-        let table = self.query_minmatch(model, t, max_chunks * k);
-        let mut cache = ConcentrationCache::new(self.cfg.delta, self.cfg.gamma);
-        let mut out = Vec::new();
-        // Chunk-major batched scan, lazily deepening only the candidates
-        // still alive — the paper's economy argument survives batching
-        // because a candidate pruned at chunk `c` is never hashed past
-        // `c·k` hashes, exactly as in the candidate-at-a-time loop.
-        let mut scan = RunScan::default();
-        scan.reset(cand_ids.len());
-        let mut n = 0u32;
-        for _ in 0..max_chunks {
-            if scan.alive.is_empty() {
-                break;
-            }
-            scan.alive_ids.clear();
-            for &r in &scan.alive {
-                let id = cand_ids[r as usize];
-                pool.ensure(&self.data, id, n + k);
-                scan.alive_ids.push(id);
-            }
-            pool.get()
-                .query_agreements_batched(sig, &scan.alive_ids, n, n + k, &mut scan.counts);
-            n += k;
-            stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-            let mut kept = 0usize;
-            for t_idx in 0..scan.alive.len() {
-                let r = scan.alive[t_idx] as usize;
-                let m = scan.m[r] + scan.counts[t_idx];
-                scan.m[r] = m;
-                if table.should_prune(m, n) {
-                    stats.pruned += 1;
-                    scan.verdicts[r] = RunVerdict::Pruned;
-                } else if cache.is_concentrated(model, m, n) {
-                    scan.verdicts[r] = RunVerdict::Emit(model.map_estimate(m, n));
-                } else {
-                    scan.alive[kept] = r as u32;
-                    kept += 1;
-                }
-            }
-            scan.alive.truncate(kept);
-        }
-        for &r in &scan.alive {
-            // Unconcentrated at the cap: emit with the current estimate,
-            // mirroring the batch engine's recall guarantee.
-            scan.verdicts[r as usize] = RunVerdict::Emit(model.map_estimate(scan.m[r as usize], n));
-        }
-        for (r, &id) in cand_ids.iter().enumerate() {
-            if let RunVerdict::Emit(est) = scan.verdicts[r] {
-                out.push((id, est));
-            }
-        }
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn query_bayes_lite<P: PoolAccess, M: PosteriorModel>(
-        &self,
-        pool: &mut P,
-        model: &M,
-        q: &SparseVector,
-        t: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let k = self.cfg.k;
-        let max_chunks = (self.cfg.lite_h / k).max(1);
-        let table = self.query_minmatch(model, t, max_chunks * k);
-        let measure = self.cfg.family.measure();
-        let mut out = Vec::new();
-        // Prune-only chunk-major batched scan (lazily deepening survivors);
-        // candidates still `Pending` at the cap get the exact check in
-        // candidate order.
-        let mut scan = RunScan::default();
-        scan.reset(cand_ids.len());
-        let mut n = 0u32;
-        for _ in 0..max_chunks {
-            if scan.alive.is_empty() {
-                break;
-            }
-            scan.alive_ids.clear();
-            for &r in &scan.alive {
-                let id = cand_ids[r as usize];
-                pool.ensure(&self.data, id, n + k);
-                scan.alive_ids.push(id);
-            }
-            pool.get()
-                .query_agreements_batched(sig, &scan.alive_ids, n, n + k, &mut scan.counts);
-            n += k;
-            stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-            let mut kept = 0usize;
-            for t_idx in 0..scan.alive.len() {
-                let r = scan.alive[t_idx] as usize;
-                let m = scan.m[r] + scan.counts[t_idx];
-                scan.m[r] = m;
-                if table.should_prune(m, n) {
-                    stats.pruned += 1;
-                    scan.verdicts[r] = RunVerdict::Pruned;
-                } else {
-                    scan.alive[kept] = r as u32;
-                    kept += 1;
-                }
-            }
-            scan.alive.truncate(kept);
-        }
-        for (r, &id) in cand_ids.iter().enumerate() {
-            if matches!(scan.verdicts[r], RunVerdict::Pending) {
-                stats.exact += 1;
-                let s = measure.eval(q, self.data.vector(id));
-                if s >= t {
-                    out.push((id, s));
-                }
-            }
-        }
-        out
-    }
-
-    /// The SPRT boundary table for point queries at threshold `t`. Rebuilt
-    /// per query rather than memoized: unlike the [`MinMatchTable`] (whose
-    /// entries integrate posterior tails), building it is a handful of
-    /// logarithms plus a binary search per chunk — cheaper than a cache
-    /// lookup under contention.
-    fn query_sprt_table(&self, t: f64) -> (SprtConfig, SprtTable) {
-        let cfg = SprtConfig {
-            threshold: t,
-            ..self.cfg.sprt()
+        // The fitted prior is a batch concept (it samples candidate
+        // *pairs*); point queries use the uniform prior.
+        let model = || Posterior::for_family(self.cfg.family, JaccardModel::uniform);
+        let front = QueryFront {
+            searcher: self,
+            pool,
+            q,
+            sig,
+            cand_ids,
         };
-        let table = match self.cfg.family.measure() {
-            Measure::Cosine | Measure::Mips => SprtTable::build(&cfg, bayeslsh_lsh::cos_to_r),
-            Measure::Jaccard => SprtTable::build(&cfg, |s| s),
-            Measure::L2 => {
-                let r = l2_width(&self.cfg);
-                SprtTable::build(&cfg, move |s| bayeslsh_lsh::e2lsh_collision(s, r))
-            }
-        };
-        (cfg, table)
-    }
-
-    fn query_sprt<P: PoolAccess>(
-        &self,
-        pool: &mut P,
-        q: &SparseVector,
-        t: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let k = self.cfg.k;
-        let (_, table) = self.query_sprt_table(t);
-        let max_chunks = (table.max_hashes() / k).max(1);
-        let measure = self.cfg.family.measure();
-        let mut out = Vec::new();
-        // Chunk-major batched scan with both decision boundaries, lazily
-        // deepening only the candidates still undecided; candidates still
-        // `Pending` at the cap get the exact check in candidate order.
-        let mut scan = RunScan::default();
-        scan.reset(cand_ids.len());
-        let mut n = 0u32;
-        for _ in 0..max_chunks {
-            if scan.alive.is_empty() {
-                break;
-            }
-            scan.alive_ids.clear();
-            for &r in &scan.alive {
-                let id = cand_ids[r as usize];
-                pool.ensure(&self.data, id, n + k);
-                scan.alive_ids.push(id);
-            }
-            pool.get()
-                .query_agreements_batched(sig, &scan.alive_ids, n, n + k, &mut scan.counts);
-            n += k;
-            stats.hash_comparisons += k as u64 * scan.alive.len() as u64;
-            let mut kept = 0usize;
-            for t_idx in 0..scan.alive.len() {
-                let r = scan.alive[t_idx] as usize;
-                let m = scan.m[r] + scan.counts[t_idx];
-                scan.m[r] = m;
-                if table.should_prune(m, n) {
-                    stats.pruned += 1;
-                    scan.verdicts[r] = RunVerdict::Pruned;
-                } else if table.should_accept(m, n) {
-                    scan.verdicts[r] = RunVerdict::Emit(self.to_similarity(m as f64 / n as f64));
-                } else {
-                    scan.alive[kept] = r as u32;
-                    kept += 1;
-                }
-            }
-            scan.alive.truncate(kept);
-        }
-        for (r, &id) in cand_ids.iter().enumerate() {
-            match scan.verdicts[r] {
-                RunVerdict::Emit(est) => out.push((id, est)),
-                RunVerdict::Pending => {
-                    stats.exact += 1;
-                    let s = measure.eval(q, self.data.vector(id));
-                    if s >= t {
-                        out.push((id, s));
-                    }
-                }
-                RunVerdict::Pruned => {}
-            }
-        }
-        out
-    }
-
-    fn par_query_sprt<P: PoolAccess>(
-        &self,
-        pool: &mut P,
-        q: &SparseVector,
-        t: f64,
-        sig: &[u32],
-        cand_ids: &[u32],
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, f64)> {
-        let k = self.cfg.k;
-        let (_, table) = self.query_sprt_table(t);
-        let max_chunks = (table.max_hashes() / k).max(1);
-        pool.par_ensure_ids(&self.data, cand_ids, max_chunks * k, self.threads);
-        let pool = pool.get();
-        let this = self;
-        let table = &table;
-        let measure = self.cfg.family.measure();
-        let results = fan_out(cand_ids.len(), self.threads, |_, range| {
-            let mut local = QueryStats::default();
-            let mut out = Vec::new();
-            // Same chunk-major batched scan as the serial twin; every
-            // verdict is a pure function of the cumulative (m, n), so the
-            // partition cannot move a decision.
-            let ids = &cand_ids[range];
-            let mut scan = RunScan::default();
-            scan.reset(ids.len());
-            let mut n = 0u32;
-            for _ in 0..max_chunks {
-                if scan.alive.is_empty() {
-                    break;
-                }
-                scan.alive_ids.clear();
-                scan.alive_ids
-                    .extend(scan.alive.iter().map(|&r| ids[r as usize]));
-                pool.query_agreements_batched(sig, &scan.alive_ids, n, n + k, &mut scan.counts);
-                n += k;
-                local.hash_comparisons += k as u64 * scan.alive.len() as u64;
-                let mut kept = 0usize;
-                for t_idx in 0..scan.alive.len() {
-                    let r = scan.alive[t_idx] as usize;
-                    let m = scan.m[r] + scan.counts[t_idx];
-                    scan.m[r] = m;
-                    if table.should_prune(m, n) {
-                        local.pruned += 1;
-                        scan.verdicts[r] = RunVerdict::Pruned;
-                    } else if table.should_accept(m, n) {
-                        scan.verdicts[r] =
-                            RunVerdict::Emit(this.to_similarity(m as f64 / n as f64));
-                    } else {
-                        scan.alive[kept] = r as u32;
-                        kept += 1;
-                    }
-                }
-                scan.alive.truncate(kept);
-            }
-            for (r, &id) in ids.iter().enumerate() {
-                match scan.verdicts[r] {
-                    RunVerdict::Emit(est) => out.push((id, est)),
-                    RunVerdict::Pending => {
-                        local.exact += 1;
-                        let s = measure.eval(q, this.data.vector(id));
-                        if s >= t {
-                            out.push((id, s));
-                        }
-                    }
-                    RunVerdict::Pruned => {}
-                }
-            }
-            (out, local)
-        });
-        merge_query_chunks(results, stats)
-    }
-
-    /// The pruning table for point queries at threshold `t`, memoized
-    /// across queries (the model is fixed per searcher by its measure).
-    /// Every `(t, max_hashes)` shape seen stays cached — alternating
-    /// query shapes no longer evict each other — and the memo is
-    /// thread-safe, so parallel verification workers can share it.
-    fn query_minmatch<M: PosteriorModel>(
-        &self,
-        model: &M,
-        t: f64,
-        max_hashes: u32,
-    ) -> Arc<MinMatchTable> {
-        self.minmatch_cache
-            .get_or_build(model, t, self.cfg.epsilon, self.cfg.k, max_hashes)
+        let memo = Some(&self.minmatch_cache);
+        let (mut neighbors, engine) =
+            with_rule(self.composition.verifier, &self.cfg, t, model, memo, front);
+        stats.pruned += engine.pruned;
+        stats.exact += engine.exact_verifications;
+        stats.hash_comparisons += engine.hash_comparisons;
+        neighbors.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        neighbors
     }
 
     /// Top-`k` most similar corpus vectors to `q`, sorted by decreasing
@@ -1392,24 +855,7 @@ impl Searcher {
         k: usize,
         params: &KnnParams,
     ) -> Result<TopKOutput, SearchError> {
-        if k == 0 {
-            return Err(SearchError::invalid("k", "need at least one neighbour"));
-        }
-        if !(params.epsilon > 0.0 && params.epsilon < 1.0) {
-            return Err(SearchError::invalid(
-                "epsilon",
-                format!("must lie in (0, 1), got {}", params.epsilon),
-            ));
-        }
-        if params.chunk < 1 || params.h < params.chunk {
-            return Err(SearchError::invalid(
-                "chunk",
-                format!(
-                    "need h >= chunk >= 1, got chunk {} h {}",
-                    params.chunk, params.h
-                ),
-            ));
-        }
+        params.validate(k)?;
         self.check_query(q)?;
         let mut stats = KnnStats::default();
         if q.is_empty() || self.data.is_empty() {
@@ -1479,7 +925,6 @@ impl Searcher {
         params: &KnnParams,
         stats: &mut KnnStats,
     ) -> Vec<(u32, f64)> {
-        let max_chunks = params.h / params.chunk;
         if self.threads > 1 {
             // Pre-extend candidates to the FIRST chunk only: every
             // candidate pays at least one chunk, so this parallelizes the
@@ -1490,23 +935,7 @@ impl Searcher {
         }
 
         let measure = self.cfg.family.measure();
-        let cosine_model;
-        let jaccard_model;
-        let family_model;
-        let model: &dyn PosteriorModel = match measure {
-            Measure::Cosine | Measure::Mips => {
-                cosine_model = CosineModel::new();
-                &cosine_model
-            }
-            Measure::Jaccard => {
-                jaccard_model = JaccardModel::uniform();
-                &jaccard_model
-            }
-            Measure::L2 => {
-                family_model = FamilyModel::new(self.cfg.family);
-                &family_model
-            }
-        };
+        let model = Posterior::for_family(self.cfg.family, JaccardModel::uniform);
 
         // Every candidate pays at least one chunk, and chunk-1 agreement
         // counts do not depend on the rising threshold — so count them all
@@ -1526,31 +955,25 @@ impl Searcher {
         // similarity is a rising pruning threshold.
         let mut heap: BinaryHeap<std::cmp::Reverse<HeapItem>> = BinaryHeap::with_capacity(k + 1);
         let mut kth_best = params.floor;
-        for (idx, &id) in cand_ids.iter().enumerate() {
-            let prune_below = kth_best;
-            let (outcome, _, n) = scan_candidate_resume(
-                &self.data,
-                pool,
-                sig,
-                id,
-                first[idx],
-                params.chunk,
-                max_chunks,
-                |m, n| {
-                    if model.prob_above_threshold(m, n, prune_below) < params.epsilon {
-                        StepVerdict::Prune
-                    } else {
-                        StepVerdict::Continue
-                    }
-                },
+        for (&id, &m1) in cand_ids.iter().zip(&first) {
+            let scan = scan_candidate(
+                &self.data, pool, &model, measure, q, sig, id, m1, params, kth_best,
             );
-            stats.hash_comparisons += n as u64;
-            if outcome == ScanOutcome::Pruned {
-                stats.pruned += 1;
-                continue;
-            }
+            let s = match scan {
+                CandidateScan::Pruned { comparisons } => {
+                    stats.hash_comparisons += comparisons as u64;
+                    stats.pruned += 1;
+                    continue;
+                }
+                CandidateScan::Survivor {
+                    comparisons,
+                    similarity,
+                } => {
+                    stats.hash_comparisons += comparisons as u64;
+                    similarity
+                }
+            };
             stats.exact += 1;
-            let s = measure.eval(q, self.data.vector(id));
             if heap.len() < k {
                 heap.push(std::cmp::Reverse(HeapItem(s, id)));
             } else if s > heap.peek().unwrap().0 .0 {
@@ -1681,15 +1104,6 @@ impl Searcher {
         self.removed.iter_mut().for_each(|r| *r = false);
         self.n_removed = 0;
         count
-    }
-
-    /// Map a raw hash-agreement fraction to the target similarity.
-    fn to_similarity(&self, frac: f64) -> f64 {
-        match self.cfg.family.measure() {
-            Measure::Cosine | Measure::Mips => bayeslsh_lsh::r_to_cos(frac),
-            Measure::Jaccard => frac,
-            Measure::L2 => bayeslsh_lsh::e2lsh_similarity_at(frac, l2_width(&self.cfg)),
-        }
     }
 
     /// Enforce the preconditions every incoming vector (query or insert)
@@ -1831,49 +1245,21 @@ impl Searcher {
         prune_below: f64,
     ) -> CandidateScan {
         debug_assert!(params.chunk >= 1 && params.h >= params.chunk);
-        let max_chunks = params.h / params.chunk;
         let measure = self.cfg.family.measure();
-        let cosine_model;
-        let jaccard_model;
-        let family_model;
-        let model: &dyn PosteriorModel = match measure {
-            Measure::Cosine | Measure::Mips => {
-                cosine_model = CosineModel::new();
-                &cosine_model
-            }
-            Measure::Jaccard => {
-                jaccard_model = JaccardModel::uniform();
-                &jaccard_model
-            }
-            Measure::L2 => {
-                family_model = FamilyModel::new(self.cfg.family);
-                &family_model
-            }
-        };
-        let mut access = WritePool(self.pool.get_mut().expect("signature pool lock poisoned"));
-        let (outcome, _, n) = scan_candidate_resume(
+        let model = Posterior::for_family(self.cfg.family, JaccardModel::uniform);
+        let pool = &mut WritePool(self.pool.get_mut().expect("signature pool lock poisoned"));
+        scan_candidate(
             &self.data,
-            &mut access,
+            pool,
+            &model,
+            measure,
+            q,
             sig,
             id,
             first_m,
-            params.chunk,
-            max_chunks,
-            |m, n| {
-                if model.prob_above_threshold(m, n, prune_below) < params.epsilon {
-                    StepVerdict::Prune
-                } else {
-                    StepVerdict::Continue
-                }
-            },
-        );
-        match outcome {
-            ScanOutcome::Pruned => CandidateScan::Pruned { comparisons: n },
-            ScanOutcome::Exhausted => CandidateScan::Survivor {
-                comparisons: n,
-                similarity: measure.eval(q, self.data.vector(id)),
-            },
-        }
+            params,
+            prune_below,
+        )
     }
 }
 
@@ -1927,75 +1313,125 @@ impl PoolAccess for WritePool<'_> {
     }
 }
 
-/// Incrementally compare an external query signature against pool
-/// member `id`, `chunk` hashes at a time, letting `step` adjudicate
-/// after each chunk. The first chunk's agreement count `m1` is supplied
-/// by the caller ([`Searcher::top_k`] precomputes it for every
-/// candidate in one batched word-parallel sweep — it is independent of
-/// the rising threshold, so only the sequential *verdicts* remain
-/// order-dependent). Returns the outcome with the final `(m, n)`
-/// counts; `n` is the number of hash comparisons spent.
+/// One candidate of [`Searcher::top_k`]'s sequential scan: resume from
+/// its first-chunk agreement count `m1` (which `top_k` counts for every
+/// candidate in one batched sweep — it does not depend on the rising
+/// threshold), compare `params.chunk` more hashes at a time up to
+/// `params.h`, and prune once `Pr[S ≥ prune_below | M(m, n)] < ε`. A
+/// survivor gets its exact similarity to `q`.
 #[allow(clippy::too_many_arguments)]
-fn scan_candidate_resume<P: PoolAccess>(
+fn scan_candidate<P: PoolAccess>(
     data: &Dataset,
     pool: &mut P,
+    model: &Posterior,
+    measure: Measure,
+    q: &SparseVector,
     sig: &[u32],
     id: u32,
     m1: u32,
-    chunk: u32,
-    max_chunks: u32,
-    mut step: impl FnMut(u32, u32) -> StepVerdict,
-) -> (ScanOutcome, u32, u32) {
+    params: &KnnParams,
+    prune_below: f64,
+) -> CandidateScan {
+    let prunes = |m, n| model.prob_above_threshold(m, n, prune_below) < params.epsilon;
+    let chunk = params.chunk;
     let (mut m, mut n) = (m1, chunk);
-    if step(m, n) == StepVerdict::Prune {
-        return (ScanOutcome::Pruned, m, n);
-    }
-    for _ in 1..max_chunks {
+    for _ in 1..params.h / chunk {
+        if prunes(m, n) {
+            return CandidateScan::Pruned { comparisons: n };
+        }
         pool.ensure(data, id, n + chunk);
         m += pool.get().query_agreements(sig, id, n, n + chunk);
         n += chunk;
-        if step(m, n) == StepVerdict::Prune {
-            return (ScanOutcome::Pruned, m, n);
+    }
+    if prunes(m, n) {
+        CandidateScan::Pruned { comparisons: n }
+    } else {
+        CandidateScan::Survivor {
+            comparisons: n,
+            similarity: measure.eval(q, data.vector(id)),
         }
     }
-    (ScanOutcome::Exhausted, m, n)
 }
 
-/// Merge per-chunk query verification results in chunk (= candidate)
-/// order, folding the per-chunk counters into `stats`.
-fn merge_query_chunks(
-    results: Vec<(Vec<(u32, f64)>, QueryStats)>,
-    stats: &mut QueryStats,
-) -> Vec<(u32, f64)> {
-    let mut out = Vec::new();
-    for (chunk, local) in results {
-        out.extend(chunk);
-        stats.pruned += local.pruned;
-        stats.exact += local.exact;
-        stats.hash_comparisons += local.hash_comparisons;
+/// The threshold-query front of the scan driver: the query signature
+/// against its candidates. One thread scans serially, deepening candidate
+/// signatures lazily through the pool handle (a no-op on the read path);
+/// more threads extend every candidate to the rule's depth, then fan out
+/// over the read-only pool. Either way verdicts and counters are
+/// bit-identical.
+struct QueryFront<'s, P> {
+    searcher: &'s Searcher,
+    pool: &'s mut P,
+    q: &'s SparseVector,
+    sig: &'s [u32],
+    cand_ids: &'s [u32],
+}
+
+impl<P: PoolAccess> ScanFront for QueryFront<'_, P> {
+    type Output = (Vec<(u32, f64)>, EngineStats);
+
+    fn run<R: DecisionRule + Clone + Sync>(self, mut rule: R) -> Self::Output {
+        let QueryFront {
+            searcher,
+            pool,
+            q,
+            sig,
+            cand_ids,
+        } = self;
+        let (data, threads) = (&searcher.data, searcher.threads);
+        let measure = searcher.cfg.family.measure();
+        let exact = |id: u32| measure.eval(q, data.vector(id));
+        let mut stats = EngineStats::for_rule(cand_ids.len(), &rule);
+        if threads <= 1 {
+            let mut out = Vec::new();
+            let count = |ids: &[u32], lo, hi, counts: &mut Vec<u32>| {
+                for &id in ids {
+                    pool.ensure(data, id, hi);
+                }
+                pool.get()
+                    .query_agreements_batched(sig, ids, lo, hi, counts);
+            };
+            let scratch = &mut Scratch::default();
+            scan(
+                &mut rule,
+                cand_ids,
+                scratch,
+                &mut stats,
+                count,
+                exact,
+                |id, s| out.push((id, s)),
+            );
+            return (out, stats);
+        }
+        if rule.depth() > 0 {
+            pool.par_ensure_ids(data, cand_ids, rule.depth(), threads);
+        }
+        let pool = pool.get();
+        let out = par_scan(
+            cand_ids.len(),
+            threads,
+            &rule,
+            &mut stats,
+            |range, rule, stats| {
+                let mut out = Vec::new();
+                let count = |ids: &[u32], lo, hi, counts: &mut Vec<u32>| {
+                    pool.query_agreements_batched(sig, ids, lo, hi, counts)
+                };
+                let scratch = &mut Scratch::default();
+                scan(
+                    rule,
+                    &cand_ids[range],
+                    scratch,
+                    stats,
+                    count,
+                    exact,
+                    |id, s| out.push((id, s)),
+                );
+                out
+            },
+        );
+        (out, stats)
     }
-    out
-}
-
-/// The per-chunk decision of a [`Searcher::scan_candidate_resume`] step
-/// closure. (Threshold queries no longer go through the step machinery —
-/// their chunk-major batched scans adjudicate whole alive sets at once —
-/// so only the top-k prune/continue decision remains.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StepVerdict {
-    /// Keep comparing hashes.
-    Continue,
-    /// Posterior says the candidate cannot clear the threshold.
-    Prune,
-}
-
-/// How a candidate scan ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScanOutcome {
-    /// The step closure pruned the candidate.
-    Pruned,
-    /// The hash budget ran out without a verdict.
-    Exhausted,
 }
 
 #[cfg(test)]
@@ -2165,6 +1601,25 @@ mod tests {
             assert!((sim - cosine(&q, s.data().vector(id))).abs() < 1e-12);
         }
         assert!(s.top_k(&q, 0, &KnnParams::default()).is_err());
+        // The posterior test prunes, so exact computations undercut the
+        // candidates.
+        assert!(out.stats.pruned > 0, "{:?}", out.stats);
+        assert!(out.stats.exact < out.stats.candidates, "{:?}", out.stats);
+        // k = 1 is the query itself; an empty query has no candidates.
+        let one = s.top_k(&q, 1, &KnnParams::default()).unwrap();
+        assert_eq!(one.neighbors, out.neighbors[..1]);
+        let empty = s.top_k(&SparseVector::empty(), 5, &KnnParams::default());
+        assert_eq!(empty.unwrap().stats, KnnStats::default());
+        // A higher floor starts the rising threshold higher, so it never
+        // needs more exact computations.
+        let exact_at = |floor| {
+            let params = KnnParams {
+                floor,
+                ..KnnParams::default()
+            };
+            s.top_k(&q, 3, &params).unwrap().stats.exact
+        };
+        assert!(exact_at(0.6) <= exact_at(0.05));
     }
 
     #[test]

@@ -33,8 +33,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use bayeslsh_sparse::SparseVector;
 
 use crate::error::SearchError;
-use crate::knn::KnnParams;
-use crate::searcher::{QueryOutput, Searcher, TopKOutput};
+use crate::searcher::{KnnParams, QueryOutput, Searcher, TopKOutput};
 
 /// One published, immutable generation of the index.
 #[derive(Debug)]

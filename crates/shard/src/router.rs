@@ -227,7 +227,7 @@ impl Generation {
 }
 
 /// Exact ordering twin of the single-index top-k heap item
-/// (`core::knn::HeapItem`): min-heap on similarity, ties broken toward
+/// (`HeapItem` in `core::searcher`): min-heap on similarity, ties broken toward
 /// the *larger* id so the smaller id wins the final descending sort.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct HeapItem(f64, u32);
@@ -396,28 +396,9 @@ impl ShardedSearcher {
         k: usize,
         params: &KnnParams,
     ) -> Result<TopKOutput, ShardError> {
-        // Mirror Searcher::top_k's parameter validation verbatim so a
-        // router request fails with the identical error.
-        if k == 0 {
-            return Err(SearchError::invalid("k", "need at least one neighbour").into());
-        }
-        if !(params.epsilon > 0.0 && params.epsilon < 1.0) {
-            return Err(SearchError::invalid(
-                "epsilon",
-                format!("must lie in (0, 1), got {}", params.epsilon),
-            )
-            .into());
-        }
-        if params.chunk < 1 || params.h < params.chunk {
-            return Err(SearchError::invalid(
-                "chunk",
-                format!(
-                    "need h >= chunk >= 1, got chunk {} h {}",
-                    params.chunk, params.h
-                ),
-            )
-            .into());
-        }
+        // The same check Searcher::top_k runs, so a bad request fails with
+        // the identical error before any shard slot is locked.
+        params.validate(k)?;
         let generation = self.generation();
         let ids = generation.ids.read().expect("id map poisoned");
         let n_shards = generation.manifest.shard_count();

@@ -337,17 +337,17 @@ pub mod prelude {
         ppjoin_binary_cosine, ppjoin_jaccard, BandingIndex, BandingParams, BandingPlan,
     };
     pub use bayeslsh_core::pipeline::ground_truth;
+    pub use bayeslsh_core::sprt_verify;
     pub use bayeslsh_core::{
         bayes_verify, bayes_verify_lite, estimate_errors, mle_verify, recall_against,
         run_algorithm, run_composition, Algorithm, BayesLshConfig, BbitJaccardModel,
         CandidateGenerator, Composition, CompositionOutput, ConfigDiff, CosineModel, EngineStats,
-        Epoch, ErrorStats, FamilyModel, GeneratorKind, HashMode, JaccardModel, KnnIndex, KnnParams,
-        KnnStats, LiteConfig, MinMatchTable, PipelineConfig, PosteriorModel, PriorChoice,
-        QueryOutput, QueryStats, RunOutput, SearchContext, SearchError, Searcher, SearcherBuilder,
+        Epoch, ErrorStats, FamilyModel, GeneratorKind, HashMode, JaccardModel, KnnParams, KnnStats,
+        LiteConfig, MinMatchTable, PipelineConfig, PosteriorModel, PriorChoice, QueryOutput,
+        QueryStats, RunOutput, SearchContext, SearchError, Searcher, SearcherBuilder,
         ServingSearcher, SigPool, SnapshotError, SnapshotHeader, SprtConfig, SprtTable, TopKOutput,
         Verifier, VerifierKind, SNAPSHOT_FORMAT_VERSION,
     };
-    pub use bayeslsh_core::{par_sprt_verify, sprt_verify};
     pub use bayeslsh_datasets::{generate, CorpusConfig, Preset};
     pub use bayeslsh_lsh::{
         bbit_collision_prob, bbit_to_jaccard, cos_to_r, e2lsh_collision, e2lsh_similarity_at,
