@@ -5,9 +5,13 @@
 
 use std::hint::black_box;
 
-use bayeslsh_core::{Algorithm, Parallelism, PipelineConfig, Searcher};
+use bayeslsh_core::{
+    Composition, GeneratorKind, Parallelism, PipelineConfig, Searcher, VerifierKind,
+};
 use bayeslsh_datasets::Preset;
 use criterion::{criterion_group, criterion_main, Criterion};
+
+const LSH_BAYES: Composition = Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes);
 
 fn bench_all_pairs_by_threads(c: &mut Criterion) {
     let mut g = c.benchmark_group("parallel_all_pairs");
@@ -18,7 +22,7 @@ fn bench_all_pairs_by_threads(c: &mut Criterion) {
             let mut cfg = PipelineConfig::cosine(0.7);
             cfg.parallelism = Parallelism::threads(threads);
             let searcher = Searcher::builder(cfg)
-                .algorithm(Algorithm::LshBayesLsh)
+                .composition(LSH_BAYES)
                 .build(data)
                 .expect("valid config");
             b.iter(|| black_box(searcher.all_pairs().expect("runs").pairs.len()));
@@ -37,7 +41,7 @@ fn bench_build_by_threads(c: &mut Criterion) {
             cfg.parallelism = Parallelism::threads(threads);
             b.iter(|| {
                 let searcher = Searcher::builder(cfg)
-                    .algorithm(Algorithm::LshBayesLsh)
+                    .composition(LSH_BAYES)
                     .build(data.clone())
                     .expect("valid config");
                 black_box(searcher.hash_count())

@@ -1,10 +1,10 @@
-//! End-to-end pipeline benchmarks: one Figure 3 cell per algorithm
+//! End-to-end pipeline benchmarks: one Figure 3 cell per paper algorithm
 //! (WikiWords100K-like, t = 0.7, weighted cosine) under Criterion's
 //! statistical machinery.
 
 use std::hint::black_box;
 
-use bayeslsh_core::{run_algorithm, Algorithm, PipelineConfig};
+use bayeslsh_core::{run_composition, Composition, Measure, PipelineConfig};
 use bayeslsh_datasets::Preset;
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -13,17 +13,12 @@ fn bench_pipelines(c: &mut Criterion) {
     let cfg = PipelineConfig::cosine(0.7);
     let mut g = c.benchmark_group("pipeline_wikiwords_t07");
     g.sample_size(10);
-    for algo in [
-        Algorithm::AllPairs,
-        Algorithm::ApBayesLsh,
-        Algorithm::ApBayesLshLite,
-        Algorithm::Lsh,
-        Algorithm::LshApprox,
-        Algorithm::LshBayesLsh,
-        Algorithm::LshBayesLshLite,
-    ] {
-        g.bench_function(algo.name().replace(' ', "_"), |b| {
-            b.iter(|| black_box(run_algorithm(algo, &data, &cfg).pairs.len()));
+    for (name, comp) in Composition::PAPER {
+        if comp.requires_binary(Measure::Cosine) {
+            continue;
+        }
+        g.bench_function(name.replace(' ', "_"), |b| {
+            b.iter(|| black_box(run_composition(comp, &data, &cfg).unwrap().pairs.len()));
         });
     }
     g.finish();

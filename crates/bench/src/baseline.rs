@@ -38,14 +38,16 @@
 use std::time::Instant;
 
 use bayeslsh_core::{
-    bayes_verify, candidate_ids, run_algorithm, sprt_verify, Algorithm, BayesLshConfig,
-    CosineModel, PipelineConfig, Searcher,
+    bayes_verify, candidate_ids, run_composition, sprt_verify, BayesLshConfig, Composition,
+    CosineModel, GeneratorKind, PipelineConfig, Searcher, VerifierKind,
 };
 use bayeslsh_datasets::{generate, CorpusConfig, Preset};
 use bayeslsh_lsh::{
     cos_to_r, generate_plane, quantized, r_to_cos, BitSignatures, E2lshHasher, MinHasher, SrpHasher,
 };
 use bayeslsh_sparse::{cosine, Dataset, SparseVector};
+
+use crate::report::label;
 
 /// One side of a kernel comparison.
 #[derive(Debug, Clone)]
@@ -103,8 +105,8 @@ pub struct QueryBench {
 pub struct EndToEndRow {
     /// Preset name.
     pub preset: String,
-    /// Algorithm name.
-    pub algorithm: String,
+    /// Composition timed.
+    pub composition: Composition,
     /// Total wall-clock seconds.
     pub secs: f64,
     /// Output pairs found.
@@ -344,7 +346,10 @@ pub fn multiprobe_query_bench(scale: f64, seed: u64) -> QueryBench {
     let mut cfg = PipelineConfig::cosine(0.7);
     cfg.probes = cfg.band_width as usize + 1;
     let searcher = Searcher::builder(cfg)
-        .algorithm(Algorithm::Lsh)
+        .composition(Composition::new(
+            GeneratorKind::LshBanding,
+            VerifierKind::Exact,
+        ))
         .build(data.clone())
         .expect("valid config");
     let bands = searcher.banding_plan().params.l as u64;
@@ -503,10 +508,11 @@ pub fn end_to_end(scale: f64, seed: u64) -> Vec<EndToEndRow> {
         .map(|preset| {
             let data = preset.load(scale, seed);
             let cfg = bayeslsh_core::PipelineConfig::cosine(0.7);
-            let out = run_algorithm(Algorithm::LshBayesLsh, &data, &cfg);
+            let composition = Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes);
+            let out = run_composition(composition, &data, &cfg).expect("paper config runs");
             EndToEndRow {
                 preset: preset.name().to_string(),
-                algorithm: Algorithm::LshBayesLsh.name().to_string(),
+                composition,
                 secs: out.total_secs,
                 pairs: out.pairs.len() as u64,
             }
@@ -578,7 +584,10 @@ impl BaselineReport {
             .map(|r| {
                 format!(
                     "    {{\"preset\": \"{}\", \"algorithm\": \"{}\", \"secs\": {:.4}, \"pairs\": {}}}",
-                    r.preset, r.algorithm, r.secs, r.pairs
+                    r.preset,
+                    label(r.composition),
+                    r.secs,
+                    r.pairs
                 )
             })
             .collect();
@@ -865,7 +874,7 @@ mod tests {
             },
             end_to_end: vec![EndToEndRow {
                 preset: "RCV1".into(),
-                algorithm: "LSH+BayesLSH".into(),
+                composition: Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes),
                 secs: 0.2,
                 pairs: 3,
             }],

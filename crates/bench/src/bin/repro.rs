@@ -42,7 +42,7 @@
 //!
 //! Use `--release` — the sweeps are CPU-bound.
 
-use bayeslsh_bench::report::{fmt_count, fmt_secs, render_table};
+use bayeslsh_bench::report::{fmt_count, fmt_secs, label, render_table};
 use bayeslsh_bench::timing::Family;
 use bayeslsh_bench::{
     baseline, fig1, fig5, parallel, params, persist, pruning, quality, serve_loop, shard, table1,
@@ -527,7 +527,7 @@ fn run_bench_baseline(args: &Args) {
         println!(
             "end-to-end {} / {}: {} ({} pairs)",
             row.preset,
-            row.algorithm,
+            label(row.composition),
             fmt_secs(row.secs),
             fmt_count(row.pairs)
         );
@@ -700,7 +700,11 @@ fn run_fig2(args: &Args) {
         .collect();
     print!("{}", render_table(&["varied", "value", "time"], &table));
     for r in &refs {
-        println!("reference: {:<12} {}", r.algorithm.name(), fmt_secs(r.secs));
+        println!(
+            "reference: {:<12} {}",
+            label(r.composition),
+            fmt_secs(r.secs)
+        );
     }
 }
 
@@ -731,7 +735,7 @@ fn run_table5(args: &Args) {
 fn run_fig4(args: &Args) {
     banner("Figure 4: candidates remaining vs hashes examined");
     for c in pruning::run(args.scale, args.seed) {
-        println!("{} / {} (output {}):", c.panel, c.source.name(), c.output);
+        println!("{} / {} (output {}):", c.panel, label(c.source), c.output);
         let interesting: Vec<&(u32, u64)> = c
             .points
             .iter()
@@ -752,7 +756,7 @@ fn run_table3(args: &Args) {
         .map(|r| {
             vec![
                 r.dataset.to_string(),
-                r.algorithm.name().into(),
+                label(r.composition),
                 format!("{:.1}", r.threshold),
                 format!("{:.2}", r.recall_pct),
                 r.truth_size.to_string(),
@@ -777,7 +781,7 @@ fn run_table4(args: &Args) {
         .map(|r| {
             vec![
                 r.dataset.to_string(),
-                r.algorithm.name().into(),
+                label(r.composition),
                 format!("{:.1}", r.threshold),
                 format!("{:.2}", r.pct_err_above_005),
                 format!("{:.4}", r.mean_err),
@@ -812,7 +816,7 @@ fn run_parallel(args: &Args) {
         .iter()
         .map(|r| {
             vec![
-                r.algorithm.name().into(),
+                label(r.composition),
                 r.threads.to_string(),
                 fmt_secs(r.build_secs),
                 fmt_secs(r.join_secs),
@@ -856,7 +860,7 @@ fn run_fig3(args: &Args) -> Vec<timing::TimingRow> {
             .map(|r| {
                 vec![
                     r.dataset.to_string(),
-                    r.algorithm.name().into(),
+                    label(r.composition),
                     format!("{:.1}", r.threshold),
                     fmt_secs(r.secs),
                     r.output.to_string(),
@@ -886,7 +890,7 @@ fn run_table2(rows: &[timing::TimingRow]) {
             vec![
                 r.family.name().into(),
                 r.dataset.to_string(),
-                r.fastest_variant.name().into(),
+                label(r.fastest_variant),
                 fmt_secs(r.variant_secs),
                 fmt_speedup(r.speedup_ap),
                 fmt_speedup(r.speedup_lsh),

@@ -4,15 +4,15 @@
 
 use std::time::Instant;
 
-use bayeslsh_core::{Algorithm, PipelineConfig, Searcher};
+use bayeslsh_core::{Composition, GeneratorKind, PipelineConfig, Searcher, VerifierKind};
 use bayeslsh_datasets::Preset;
 use bayeslsh_numeric::Parallelism;
 
-/// One (algorithm, thread count) measurement.
+/// One (composition, thread count) measurement.
 #[derive(Debug, Clone)]
 pub struct SpeedupRow {
-    /// Algorithm measured.
-    pub algorithm: Algorithm,
+    /// Composition measured.
+    pub composition: Composition,
     /// Worker threads used.
     pub threads: usize,
     /// Seconds to build the searcher (hashing + banding index).
@@ -26,16 +26,17 @@ pub struct SpeedupRow {
     pub output: usize,
 }
 
-/// Time `all_pairs` for the LSH-based algorithms at thread counts
+/// Time `all_pairs` for the LSH-based compositions at thread counts
 /// {1, 2, 4, 8} on a medium RCV1-shaped corpus, asserting bit-identical
 /// output across thread counts as it goes.
 pub fn run(scale: f64, seed: u64) -> Vec<SpeedupRow> {
     let mut rows = Vec::new();
-    for algo in [
-        Algorithm::Lsh,
-        Algorithm::LshBayesLsh,
-        Algorithm::LshBayesLshLite,
+    for verifier in [
+        VerifierKind::Exact,
+        VerifierKind::Bayes,
+        VerifierKind::BayesLite,
     ] {
+        let composition = Composition::new(GeneratorKind::LshBanding, verifier);
         let mut serial_secs = 0.0;
         let mut serial_pairs: Option<Vec<(u32, u32, u64)>> = None;
         for threads in [1usize, 2, 4, 8] {
@@ -44,7 +45,7 @@ pub fn run(scale: f64, seed: u64) -> Vec<SpeedupRow> {
             cfg.parallelism = Parallelism::threads(threads as u32);
             let build_start = Instant::now();
             let searcher = Searcher::builder(cfg)
-                .algorithm(algo)
+                .composition(composition)
                 .build(data)
                 .expect("valid config");
             let build_secs = build_start.elapsed().as_secs_f64();
@@ -64,11 +65,11 @@ pub fn run(scale: f64, seed: u64) -> Vec<SpeedupRow> {
                 }
                 Some(expect) => assert_eq!(
                     expect, &bits,
-                    "{algo}: parallel output diverged at {threads} threads"
+                    "{composition}: parallel output diverged at {threads} threads"
                 ),
             }
             rows.push(SpeedupRow {
-                algorithm: algo,
+                composition,
                 threads,
                 build_secs,
                 join_secs,

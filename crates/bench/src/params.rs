@@ -5,7 +5,10 @@
 //! Figure 2.
 
 use bayeslsh_core::pipeline::ground_truth;
-use bayeslsh_core::{estimate_errors, recall_against, run_algorithm, Algorithm, PipelineConfig};
+use bayeslsh_core::{
+    estimate_errors, recall_against, run_composition, Composition, GeneratorKind, PipelineConfig,
+    VerifierKind,
+};
 use bayeslsh_datasets::Preset;
 use bayeslsh_lsh::Measure;
 use bayeslsh_sparse::Dataset;
@@ -52,8 +55,8 @@ pub struct ParamRow {
 /// Reference timings for Figure 2's horizontal lines.
 #[derive(Debug, Clone)]
 pub struct ReferenceRow {
-    /// Baseline algorithm.
-    pub algorithm: Algorithm,
+    /// Baseline composition.
+    pub composition: Composition,
     /// Total seconds.
     pub secs: f64,
 }
@@ -77,7 +80,8 @@ fn measure_row(
     value: f64,
     cfg: &PipelineConfig,
 ) -> ParamRow {
-    let out = run_algorithm(Algorithm::LshBayesLsh, data, cfg);
+    let lsh_bayes = Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes);
+    let out = run_composition(lsh_bayes, data, cfg).expect("paper config runs");
     let err = estimate_errors(&out.pairs, data, Measure::Cosine, 0.05);
     ParamRow {
         varied,
@@ -116,12 +120,14 @@ pub fn run_on(data: &Dataset, seed: u64) -> (Vec<ParamRow>, Vec<ReferenceRow>) {
         cfg.epsilon = value;
         rows.push(measure_row(data, &truth, Varied::Epsilon, value, &cfg));
     }
-    let references = [Algorithm::Lsh, Algorithm::LshApprox]
-        .iter()
-        .map(|&algorithm| {
-            let out = run_algorithm(algorithm, data, &base_config(t, seed));
+    let references = [VerifierKind::Exact, VerifierKind::Mle]
+        .into_iter()
+        .map(|verifier| {
+            let composition = Composition::new(GeneratorKind::LshBanding, verifier);
+            let out = run_composition(composition, data, &base_config(t, seed))
+                .expect("paper config runs");
             ReferenceRow {
-                algorithm,
+                composition,
                 secs: out.total_secs,
             }
         })

@@ -11,7 +11,9 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::time::Instant;
 
-use bayeslsh_core::{Algorithm, Parallelism, PipelineConfig, Searcher, SnapshotHeader};
+use bayeslsh_core::{
+    Composition, GeneratorKind, Parallelism, PipelineConfig, Searcher, SnapshotHeader, VerifierKind,
+};
 use bayeslsh_datasets::Preset;
 
 /// The build the experiment persists: the paper's flagship composition
@@ -19,7 +21,10 @@ use bayeslsh_datasets::Preset;
 fn build_searcher(scale: f64, seed: u64) -> Searcher {
     let data = Preset::Rcv1.load(scale, seed);
     Searcher::builder(PipelineConfig::cosine(0.7))
-        .algorithm(Algorithm::LshBayesLsh)
+        .composition(Composition::new(
+            GeneratorKind::LshBanding,
+            VerifierKind::Bayes,
+        ))
         .parallelism(Parallelism::Auto)
         .build(data)
         .expect("preset corpus and paper config are valid")

@@ -6,7 +6,7 @@
 //! (c) WikiWords100K, t=0.7 binary cosine — each with both AllPairs- and
 //! LSH-generated candidate sets.
 
-use bayeslsh_core::{run_algorithm, Algorithm, PipelineConfig};
+use bayeslsh_core::{run_composition, Composition, GeneratorKind, PipelineConfig, VerifierKind};
 use bayeslsh_datasets::Preset;
 
 /// One pruning curve.
@@ -14,8 +14,9 @@ use bayeslsh_datasets::Preset;
 pub struct PruningCurve {
     /// Panel label, e.g. "WikiWords100K t=0.7 Cosine".
     pub panel: String,
-    /// Candidate generator feeding BayesLSH.
-    pub source: Algorithm,
+    /// The composition run: BayesLSH over this panel's candidate
+    /// generator.
+    pub source: Composition,
     /// `(hashes examined, candidates remaining)`, starting at 0 hashes.
     pub points: Vec<(u32, u64)>,
     /// Size of the final output (the floor the curve approaches).
@@ -24,15 +25,16 @@ pub struct PruningCurve {
 
 fn curve(
     panel: &str,
-    algo: Algorithm,
+    generator: GeneratorKind,
     data: &bayeslsh_sparse::Dataset,
     cfg: &PipelineConfig,
 ) -> PruningCurve {
-    let out = run_algorithm(algo, data, cfg);
+    let source = Composition::new(generator, VerifierKind::Bayes);
+    let out = run_composition(source, data, cfg).expect("paper config runs");
     let stats = out.engine.expect("BayesLSH pipelines report engine stats");
     PruningCurve {
         panel: panel.to_string(),
-        source: algo,
+        source,
         points: stats.survivors_curve(),
         output: out.pairs.len() as u64,
     }
@@ -50,13 +52,13 @@ pub fn run(scale: f64, seed: u64) -> Vec<PruningCurve> {
         cfg.seed = seed;
         curves.push(curve(
             "WikiWords100K t=0.7 Cosine",
-            Algorithm::ApBayesLsh,
+            GeneratorKind::AllPairs,
             &data,
             &cfg,
         ));
         curves.push(curve(
             "WikiWords100K t=0.7 Cosine",
-            Algorithm::LshBayesLsh,
+            GeneratorKind::LshBanding,
             &data,
             &cfg,
         ));
@@ -68,13 +70,13 @@ pub fn run(scale: f64, seed: u64) -> Vec<PruningCurve> {
         cfg.seed = seed;
         curves.push(curve(
             "WikiLinks t=0.7 Cosine",
-            Algorithm::ApBayesLsh,
+            GeneratorKind::AllPairs,
             &data,
             &cfg,
         ));
         curves.push(curve(
             "WikiLinks t=0.7 Cosine",
-            Algorithm::LshBayesLsh,
+            GeneratorKind::LshBanding,
             &data,
             &cfg,
         ));
@@ -86,13 +88,13 @@ pub fn run(scale: f64, seed: u64) -> Vec<PruningCurve> {
         cfg.seed = seed;
         curves.push(curve(
             "WikiWords100K t=0.7 Binary Cosine",
-            Algorithm::ApBayesLsh,
+            GeneratorKind::AllPairs,
             &data,
             &cfg,
         ));
         curves.push(curve(
             "WikiWords100K t=0.7 Binary Cosine",
-            Algorithm::LshBayesLsh,
+            GeneratorKind::LshBanding,
             &data,
             &cfg,
         ));

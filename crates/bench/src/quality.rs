@@ -3,7 +3,10 @@
 //! LSH+BayesLSH).
 
 use bayeslsh_core::pipeline::ground_truth;
-use bayeslsh_core::{estimate_errors, recall_against, run_algorithm, Algorithm, PipelineConfig};
+use bayeslsh_core::{
+    estimate_errors, recall_against, run_composition, Composition, GeneratorKind, PipelineConfig,
+    VerifierKind,
+};
 use bayeslsh_datasets::Preset;
 use bayeslsh_lsh::Measure;
 
@@ -12,8 +15,8 @@ use bayeslsh_lsh::Measure;
 pub struct RecallRow {
     /// Dataset name.
     pub dataset: &'static str,
-    /// Algorithm measured.
-    pub algorithm: Algorithm,
+    /// Composition measured.
+    pub composition: Composition,
     /// Similarity threshold.
     pub threshold: f64,
     /// Recall against the exact result (percent).
@@ -32,11 +35,12 @@ pub fn table3(presets: &[Preset], thresholds: &[f64], scale: f64, seed: u64) -> 
             let truth = ground_truth(&data, Measure::Cosine, t);
             let mut cfg = PipelineConfig::cosine(t);
             cfg.seed = seed;
-            for algo in [Algorithm::ApBayesLsh, Algorithm::ApBayesLshLite] {
-                let out = run_algorithm(algo, &data, &cfg);
+            for verifier in [VerifierKind::Bayes, VerifierKind::BayesLite] {
+                let composition = Composition::new(GeneratorKind::AllPairs, verifier);
+                let out = run_composition(composition, &data, &cfg).expect("paper config runs");
                 rows.push(RecallRow {
                     dataset: preset.name(),
-                    algorithm: algo,
+                    composition,
                     threshold: t,
                     recall_pct: 100.0 * recall_against(&truth, &out.pairs),
                     truth_size: truth.len(),
@@ -52,8 +56,8 @@ pub fn table3(presets: &[Preset], thresholds: &[f64], scale: f64, seed: u64) -> 
 pub struct AccuracyRow {
     /// Dataset name.
     pub dataset: &'static str,
-    /// Algorithm measured.
-    pub algorithm: Algorithm,
+    /// Composition measured.
+    pub composition: Composition,
     /// Similarity threshold.
     pub threshold: f64,
     /// Percentage of emitted estimates with |error| > 0.05.
@@ -73,12 +77,13 @@ pub fn table4(presets: &[Preset], thresholds: &[f64], scale: f64, seed: u64) -> 
         for &t in thresholds {
             let mut cfg = PipelineConfig::cosine(t);
             cfg.seed = seed;
-            for algo in [Algorithm::LshApprox, Algorithm::LshBayesLsh] {
-                let out = run_algorithm(algo, &data, &cfg);
+            for verifier in [VerifierKind::Mle, VerifierKind::Bayes] {
+                let composition = Composition::new(GeneratorKind::LshBanding, verifier);
+                let out = run_composition(composition, &data, &cfg).expect("paper config runs");
                 let stats = estimate_errors(&out.pairs, &data, Measure::Cosine, 0.05);
                 rows.push(AccuracyRow {
                     dataset: preset.name(),
-                    algorithm: algo,
+                    composition,
                     threshold: t,
                     pct_err_above_005: 100.0 * stats.frac_above,
                     mean_err: stats.mean_abs,
@@ -104,7 +109,7 @@ mod tests {
                 r.recall_pct >= 90.0,
                 "{} {}: recall {}",
                 r.dataset,
-                r.algorithm,
+                r.composition,
                 r.recall_pct
             );
         }
@@ -116,7 +121,7 @@ mod tests {
         assert_eq!(rows.len(), 2);
         let bayes = rows
             .iter()
-            .find(|r| r.algorithm == Algorithm::LshBayesLsh)
+            .find(|r| r.composition.verifier == VerifierKind::Bayes)
             .unwrap();
         assert!(bayes.n_estimates > 0);
         // The (δ=0.05, γ=0.03) contract bounds the error-above-0.05

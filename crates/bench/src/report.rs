@@ -1,5 +1,13 @@
 //! Terminal table formatting for the experiment runners.
 
+use bayeslsh_core::Composition;
+
+/// A composition's label in reports: the name the paper's tables use for
+/// its eight algorithms, the generator × verifier form for any other.
+pub fn label(c: Composition) -> String {
+    c.paper_name().map_or_else(|| c.to_string(), String::from)
+}
+
 /// Render an aligned text table with a header row.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bayeslsh_core::serving::ServingSearcher;
-use bayeslsh_core::{Algorithm, PipelineConfig, Searcher};
+use bayeslsh_core::{Composition, GeneratorKind, PipelineConfig, Searcher, VerifierKind};
 use bayeslsh_datasets::Preset;
 use bayeslsh_numeric::Parallelism;
 use bayeslsh_sparse::SparseVector;
@@ -137,7 +137,10 @@ pub fn run(cfg: &ServeLoopConfig) -> Result<ServeLoopReport, String> {
     let inserts: Vec<SparseVector> = data.vectors().to_vec();
     let queries: Vec<SparseVector> = data.vectors().iter().take(64).cloned().collect();
     let searcher = Searcher::builder(PipelineConfig::cosine(0.7))
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(Composition::new(
+            GeneratorKind::LshBanding,
+            VerifierKind::BayesLite,
+        ))
         .parallelism(Parallelism::serial())
         .build(data)
         .map_err(|e| format!("build failed: {e}"))?;

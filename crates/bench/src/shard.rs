@@ -13,7 +13,9 @@
 use std::path::Path;
 use std::time::Instant;
 
-use bayeslsh_core::{Algorithm, Parallelism, PipelineConfig, Searcher};
+use bayeslsh_core::{
+    Composition, GeneratorKind, Parallelism, PipelineConfig, Searcher, VerifierKind,
+};
 use bayeslsh_datasets::Preset;
 use bayeslsh_shard::{LoadPolicy, PartitionFn, ShardBuilder, ShardedSearcher, MANIFEST_FILE};
 
@@ -23,9 +25,12 @@ fn config() -> PipelineConfig {
     PipelineConfig::cosine(0.7)
 }
 
+/// LSH banding × BayesLSH, the flagship composition.
+const FLAGSHIP: Composition = Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes);
+
 fn build_single(scale: f64, seed: u64) -> Searcher {
     Searcher::builder(config())
-        .algorithm(Algorithm::LshBayesLsh)
+        .composition(FLAGSHIP)
         .parallelism(Parallelism::Auto)
         .build(Preset::Rcv1.load(scale, seed))
         .expect("preset corpus and paper config are valid")
@@ -60,7 +65,7 @@ pub fn shard_build(
     let n_vectors = data.len();
     let start = Instant::now();
     let manifest = ShardBuilder::new(config())
-        .algorithm(Algorithm::LshBayesLsh)
+        .composition(FLAGSHIP)
         .shards(n_shards)
         .partition(PartitionFn::Hashed { seed })
         .parallelism(Parallelism::Auto)

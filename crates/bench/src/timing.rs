@@ -8,10 +8,14 @@
 //! algorithm across thresholds, the fastest BayesLSH variant, and its
 //! speedup over each baseline.
 
-use bayeslsh_core::{run_algorithm, Algorithm, PipelineConfig};
+use std::collections::{BTreeMap, HashMap};
+
+use bayeslsh_core::{run_composition, Composition, GeneratorKind, PipelineConfig, VerifierKind};
 use bayeslsh_datasets::Preset;
 use bayeslsh_lsh::Measure;
 use bayeslsh_sparse::Dataset;
+use GeneratorKind::{AllPairs, LshBanding, PpjoinPlus};
+use VerifierKind::{Bayes, BayesLite, Exact, Mle};
 
 /// Which of the paper's three experiment families to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,13 +55,15 @@ impl Family {
         }
     }
 
-    /// Algorithms (PPJoin+ applies only to binary data).
-    pub fn algorithms(&self) -> Vec<Algorithm> {
-        let mut algos: Vec<Algorithm> = Algorithm::ALL.to_vec();
-        if matches!(self, Family::WeightedCosine) {
-            algos.retain(|a| *a != Algorithm::PpjoinPlus);
-        }
-        algos
+    /// The paper's algorithms, in its order (PPJoin+ applies only to
+    /// binary data).
+    pub fn compositions(&self) -> Vec<Composition> {
+        let weighted = *self == Family::WeightedCosine;
+        Composition::PAPER
+            .iter()
+            .map(|&(_, c)| c)
+            .filter(|c| !(weighted && c.requires_binary(self.measure())))
+            .collect()
     }
 
     /// Target similarity measure.
@@ -94,8 +100,8 @@ pub struct TimingRow {
     pub family: Family,
     /// Dataset name.
     pub dataset: &'static str,
-    /// Algorithm.
-    pub algorithm: Algorithm,
+    /// Composition timed.
+    pub composition: Composition,
     /// Similarity threshold.
     pub threshold: f64,
     /// Total wall-clock seconds.
@@ -113,12 +119,12 @@ pub fn run_sweep(family: Family, scale: f64, seed: u64) -> Vec<TimingRow> {
         let data = family.load(preset, scale, seed);
         for &t in family.thresholds() {
             let cfg = family.config(t, seed);
-            for algo in family.algorithms() {
-                let out = run_algorithm(algo, &data, &cfg);
+            for composition in family.compositions() {
+                let out = run_composition(composition, &data, &cfg).expect("paper config runs");
                 rows.push(TimingRow {
                     family,
                     dataset: preset.name(),
-                    algorithm: algo,
+                    composition,
                     threshold: t,
                     secs: out.total_secs,
                     output: out.pairs.len(),
@@ -139,7 +145,7 @@ pub struct Table2Row {
     /// Dataset name.
     pub dataset: &'static str,
     /// Fastest BayesLSH variant by total time across thresholds.
-    pub fastest_variant: Algorithm,
+    pub fastest_variant: Composition,
     /// Its total seconds.
     pub variant_secs: f64,
     /// Speedups vs (AllPairs, LSH, LSH Approx, PPJoin+); `None` if the
@@ -153,46 +159,48 @@ pub struct Table2Row {
     pub speedup_ppjoin: Option<f64>,
 }
 
-const BAYES_VARIANTS: [Algorithm; 4] = [
-    Algorithm::ApBayesLsh,
-    Algorithm::ApBayesLshLite,
-    Algorithm::LshBayesLsh,
-    Algorithm::LshBayesLshLite,
+const BAYES_VARIANTS: [Composition; 4] = [
+    Composition::new(AllPairs, Bayes),
+    Composition::new(AllPairs, BayesLite),
+    Composition::new(LshBanding, Bayes),
+    Composition::new(LshBanding, BayesLite),
 ];
 
 /// Aggregate sweep rows into Table 2.
 pub fn table2_from(rows: &[TimingRow]) -> Vec<Table2Row> {
-    use std::collections::BTreeMap;
-    // (family name, dataset) -> algorithm -> total secs.
-    let mut totals: BTreeMap<(&str, &str), BTreeMap<&str, f64>> = BTreeMap::new();
+    // (family name, dataset) -> composition -> total secs.
+    let mut totals: BTreeMap<(&str, &str), HashMap<Composition, f64>> = BTreeMap::new();
     let mut meta: BTreeMap<(&str, &str), (Family, &'static str)> = BTreeMap::new();
     for r in rows {
         let key = (r.family.name(), r.dataset);
         *totals
             .entry(key)
             .or_default()
-            .entry(r.algorithm.name())
+            .entry(r.composition)
             .or_default() += r.secs;
         meta.insert(key, (r.family, r.dataset));
     }
     let mut out = Vec::new();
-    for (key, per_algo) in &totals {
+    for (key, per_comp) in &totals {
         let (family, dataset) = meta[key];
         let (fastest_variant, variant_secs) = BAYES_VARIANTS
             .iter()
-            .filter_map(|a| per_algo.get(a.name()).map(|&s| (*a, s)))
+            .filter_map(|c| per_comp.get(c).map(|&s| (*c, s)))
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .expect("sweep must include the BayesLSH variants");
-        let speedup = |a: Algorithm| per_algo.get(a.name()).map(|&s| s / variant_secs);
+        let speedup = |generator, verifier| {
+            let baseline = Composition::new(generator, verifier);
+            per_comp.get(&baseline).map(|&s| s / variant_secs)
+        };
         out.push(Table2Row {
             family,
             dataset,
             fastest_variant,
             variant_secs,
-            speedup_ap: speedup(Algorithm::AllPairs),
-            speedup_lsh: speedup(Algorithm::Lsh),
-            speedup_lsh_approx: speedup(Algorithm::LshApprox),
-            speedup_ppjoin: speedup(Algorithm::PpjoinPlus),
+            speedup_ap: speedup(AllPairs, Exact),
+            speedup_lsh: speedup(LshBanding, Exact),
+            speedup_lsh_approx: speedup(LshBanding, Mle),
+            speedup_ppjoin: speedup(PpjoinPlus, Exact),
         });
     }
     out
@@ -206,8 +214,8 @@ mod tests {
     fn family_metadata_matches_paper() {
         assert_eq!(Family::WeightedCosine.presets().len(), 6);
         assert_eq!(Family::BinaryJaccard.presets().len(), 3);
-        assert_eq!(Family::WeightedCosine.algorithms().len(), 7);
-        assert_eq!(Family::BinaryJaccard.algorithms().len(), 8);
+        assert_eq!(Family::WeightedCosine.compositions().len(), 7);
+        assert_eq!(Family::BinaryJaccard.compositions().len(), 8);
         assert_eq!(
             Family::BinaryJaccard.thresholds(),
             &[0.3, 0.4, 0.5, 0.6, 0.7]
@@ -227,12 +235,12 @@ mod tests {
         let data = family.load(Preset::Twitter, 0.002, 3);
         let cfg = family.config(0.5, 3);
         let mut rows = Vec::new();
-        for algo in family.algorithms() {
-            let out = run_algorithm(algo, &data, &cfg);
+        for composition in family.compositions() {
+            let out = run_composition(composition, &data, &cfg).unwrap();
             rows.push(TimingRow {
                 family,
                 dataset: Preset::Twitter.name(),
-                algorithm: algo,
+                composition,
                 threshold: 0.5,
                 secs: out.total_secs.max(1e-9),
                 output: out.pairs.len(),
@@ -250,26 +258,26 @@ mod tests {
 
     #[test]
     fn table2_picks_the_minimum_variant() {
-        let mk = |algo: Algorithm, secs: f64| TimingRow {
+        let mk = |generator, verifier, secs: f64| TimingRow {
             family: Family::WeightedCosine,
             dataset: "RCV1",
-            algorithm: algo,
+            composition: Composition::new(generator, verifier),
             threshold: 0.5,
             secs,
             output: 0,
             candidates: 0,
         };
         let rows = vec![
-            mk(Algorithm::AllPairs, 10.0),
-            mk(Algorithm::Lsh, 8.0),
-            mk(Algorithm::LshApprox, 4.0),
-            mk(Algorithm::ApBayesLsh, 2.0),
-            mk(Algorithm::ApBayesLshLite, 3.0),
-            mk(Algorithm::LshBayesLsh, 1.0),
-            mk(Algorithm::LshBayesLshLite, 5.0),
+            mk(AllPairs, Exact, 10.0),
+            mk(LshBanding, Exact, 8.0),
+            mk(LshBanding, Mle, 4.0),
+            mk(AllPairs, Bayes, 2.0),
+            mk(AllPairs, BayesLite, 3.0),
+            mk(LshBanding, Bayes, 1.0),
+            mk(LshBanding, BayesLite, 5.0),
         ];
         let t2 = table2_from(&rows);
-        assert_eq!(t2[0].fastest_variant, Algorithm::LshBayesLsh);
+        assert_eq!(t2[0].fastest_variant, Composition::new(LshBanding, Bayes));
         assert!((t2[0].speedup_ap.unwrap() - 10.0).abs() < 1e-12);
         assert!((t2[0].speedup_lsh.unwrap() - 8.0).abs() < 1e-12);
         assert!((t2[0].speedup_lsh_approx.unwrap() - 4.0).abs() < 1e-12);

@@ -3,11 +3,12 @@
 //! The paper's eight algorithms are not eight monoliths but eight points in
 //! a small grid: a [`CandidateGenerator`] (AllPairs, LSH banding, PPJoin+)
 //! crossed with a [`Verifier`] (exact, fixed-`n` MLE, BayesLSH,
-//! BayesLSH-Lite). This module makes that grid explicit: each
-//! [`crate::pipeline::Algorithm`] names a [`Composition`], and
-//! [`run_composition`] executes any composition — including off-grid ones
-//! the paper never evaluated, such as PPJoin+ candidates with Bayesian
-//! verification.
+//! BayesLSH-Lite). This module makes that grid explicit: a [`Composition`]
+//! names one point, [`Composition::PAPER`] lists the paper's eight under
+//! the names its tables use, and [`run_composition`] runs any point as a
+//! one-shot batch join — including off-grid ones the paper never
+//! evaluated, such as the SPRT verifier or PPJoin+ candidates with
+//! Bayesian verification.
 //!
 //! All compositions share one [`SigPool`] between candidate generation and
 //! verification, reproducing the paper's amortization argument ("it
@@ -52,9 +53,9 @@ use crate::sprt::SprtTable;
 /// [`PipelineConfig`]'s family: signed-random-projection bits for cosine
 /// (and for MIPS, which is SRP on augmented vectors with its own seed
 /// stream), integer minhashes for Jaccard, quantized p-stable projections
-/// for L2. Seeds are derived from the config's master seed exactly as the
-/// classic pipelines did, so results are reproducible across the legacy
-/// and composable APIs.
+/// for L2. Seeds are derived from the config's master seed, so a one-shot
+/// [`run_composition`] and a [`crate::searcher::Searcher`] built from the
+/// same config draw the same hashes.
 #[derive(Debug, Clone)]
 pub enum SigPool {
     /// Bit signatures (cosine or MIPS / signed random projections).
@@ -321,9 +322,9 @@ pub struct SearchContext<'a> {
     /// Shared signature pool (candidate generation and verification draw
     /// from the same hashes).
     pub pool: &'a mut SigPool,
-    /// A standing banding index, when the caller maintains one. With
-    /// `None`, the LSH generator buckets the corpus transiently — the
-    /// legacy one-shot behaviour.
+    /// A standing banding index, when the caller maintains one (the
+    /// [`crate::searcher::Searcher`] does). With `None`, the LSH generator
+    /// buckets the corpus transiently, as [`run_composition`] does.
     pub index: Option<&'a BandingIndex>,
 }
 
@@ -440,7 +441,7 @@ impl VerifierKind {
 }
 
 /// A (generator, verifier) pair — the composable unit the paper's eight
-/// named algorithms are points of.
+/// algorithms are points of (see [`Composition::PAPER`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Composition {
     /// Candidate generation strategy.
@@ -450,12 +451,40 @@ pub struct Composition {
 }
 
 impl Composition {
+    /// The paper's eight algorithms (Section 5.1) under the names its
+    /// tables use, in its presentation order. AllPairs and PPJoin+ are
+    /// exact; plain LSH is not: its verification is, but banding misses
+    /// an expected ε-fraction of true pairs.
+    pub const PAPER: [(&'static str, Composition); 8] = {
+        use GeneratorKind::*;
+        use VerifierKind::*;
+        [
+            ("AllPairs", Composition::new(AllPairs, Exact)),
+            ("AP+BayesLSH", Composition::new(AllPairs, Bayes)),
+            ("AP+BayesLSH-Lite", Composition::new(AllPairs, BayesLite)),
+            ("LSH", Composition::new(LshBanding, Exact)),
+            ("LSH Approx", Composition::new(LshBanding, Mle)),
+            ("LSH+BayesLSH", Composition::new(LshBanding, Bayes)),
+            ("LSH+BayesLSH-Lite", Composition::new(LshBanding, BayesLite)),
+            ("PPJoin+", Composition::new(PpjoinPlus, Exact)),
+        ]
+    };
+
     /// Compose a generator with a verifier.
     pub const fn new(generator: GeneratorKind, verifier: VerifierKind) -> Self {
         Self {
             generator,
             verifier,
         }
+    }
+
+    /// This composition's name in the paper's tables, or `None` for a
+    /// point the paper did not evaluate (such as LSH × SPRT).
+    pub fn paper_name(&self) -> Option<&'static str> {
+        Self::PAPER
+            .iter()
+            .find(|(_, c)| c == self)
+            .map(|&(name, _)| name)
     }
 
     /// True when this composition only works on binary vectors: Jaccard
@@ -473,6 +502,38 @@ impl Composition {
         } else {
             "this composition"
         }
+    }
+
+    /// Everything checked before a corpus is hashed for this composition:
+    /// the config's ranges ([`PipelineConfig::validate`]), a generator the
+    /// hash family supports, and binary vectors where they are required.
+    pub(crate) fn check(&self, cfg: &PipelineConfig, data: &Dataset) -> Result<(), SearchError> {
+        cfg.validate()?;
+        self.check_family(cfg)?;
+        let measure = cfg.family.measure();
+        if self.requires_binary(measure) && !data.vectors().iter().all(|v| v.is_binary()) {
+            return Err(SearchError::NonBinaryData {
+                requires: self.binary_requirement(measure),
+            });
+        }
+        Ok(())
+    }
+
+    /// PPJoin+'s prefix filter is derived from the cosine/Jaccard overlap
+    /// bound; it has no L2 or inner-product counterpart.
+    fn check_family(&self, cfg: &PipelineConfig) -> Result<(), SearchError> {
+        if self.generator == GeneratorKind::PpjoinPlus
+            && matches!(cfg.family.measure(), Measure::L2 | Measure::Mips)
+        {
+            return Err(SearchError::invalid(
+                "family",
+                format!(
+                    "PPJoin+ supports cosine and Jaccard only, got {}",
+                    cfg.family
+                ),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -511,46 +572,50 @@ pub struct CompositionOutput {
     pub engine: Option<EngineStats>,
 }
 
-/// Run one composition end to end over `ctx`.
+/// Run one composition end to end over `data`: the one-shot batch join.
 ///
-/// Verifies the binary-input precondition up front and returns
-/// [`SearchError::NonBinaryData`] instead of panicking. When the verifier
-/// is exact and the generator has a fused exact join (AllPairs, PPJoin+),
-/// the join runs directly — reproducing the single-phase behaviour (and
-/// cost profile) of the paper's exact baselines.
+/// Checks the config and the input first, then hashes into a fresh
+/// [`SigPool`] and, for LSH banding, buckets the corpus into a transient
+/// index; both are dropped on return. When the verifier is exact and the
+/// generator has a fused exact join (AllPairs, PPJoin+), the join runs
+/// directly — reproducing the single-phase behaviour (and cost profile)
+/// of the paper's exact baselines. Code that issues more than one
+/// operation against a corpus should build a [`crate::searcher::Searcher`]
+/// instead, which hashes and indexes once; its batch join is
+/// bit-identical to this one.
+///
+/// # Errors
+///
+/// [`SearchError::InvalidConfig`] for an out-of-range parameter (see
+/// [`PipelineConfig::validate`]) or for PPJoin+ under L2 or MIPS;
+/// [`SearchError::NonBinaryData`] when the measure or generator needs
+/// binary vectors and `data` has weighted ones.
 pub fn run_composition(
     comp: Composition,
-    ctx: &mut SearchContext<'_>,
+    data: &Dataset,
+    cfg: &PipelineConfig,
 ) -> Result<CompositionOutput, SearchError> {
-    let measure = ctx.cfg.family.measure();
-    if comp.requires_binary(measure) && !ctx.data.vectors().iter().all(|v| v.is_binary()) {
-        return Err(SearchError::NonBinaryData {
-            requires: comp.binary_requirement(measure),
-        });
-    }
-    run_composition_prechecked(comp, ctx)
+    comp.check(cfg, data)?;
+    let mut pool = SigPool::for_config(cfg, data);
+    let mut ctx = SearchContext {
+        data,
+        cfg,
+        pool: &mut pool,
+        index: None,
+    };
+    run_in_context(comp, &mut ctx)
 }
 
-/// [`run_composition`] without the O(nnz) binary-precondition scan, for
-/// callers that enforce the invariant structurally (the `Searcher` checks
-/// the corpus at build and every insert).
-pub(crate) fn run_composition_prechecked(
+/// Run `comp` over a caller-held context. No O(nnz) input scan: the
+/// callers enforce the binary invariant themselves ([`run_composition`]
+/// up front, the `Searcher` at build and at every insert).
+pub(crate) fn run_in_context(
     comp: Composition,
     ctx: &mut SearchContext<'_>,
 ) -> Result<CompositionOutput, SearchError> {
-    if comp.generator == GeneratorKind::PpjoinPlus
-        && matches!(ctx.cfg.family.measure(), Measure::L2 | Measure::Mips)
-    {
-        // PPJoin+'s prefix filter is derived from the cosine/Jaccard
-        // overlap bound; it has no L2 or inner-product counterpart.
-        return Err(SearchError::invalid(
-            "family",
-            format!(
-                "PPJoin+ supports cosine and Jaccard only, got {}",
-                ctx.cfg.family
-            ),
-        ));
-    }
+    // A loaded snapshot can pair a config with a composition no builder
+    // accepted.
+    comp.check_family(ctx.cfg)?;
     let generator = comp.generator.instantiate();
     let verifier = comp.verifier.instantiate();
     let start = Instant::now();
@@ -706,7 +771,7 @@ impl CandidateGenerator for PpjoinGenerator {
             Measure::Jaccard => ppjoin_jaccard(ctx.data, ctx.cfg.threshold),
             // Rejected with a typed error before any generator runs.
             Measure::L2 | Measure::Mips => {
-                unreachable!("run_composition rejects PPJoin+ under L2/MIPS")
+                unreachable!("Composition::check_family rejects PPJoin+ under L2/MIPS")
             }
         })
     }
@@ -888,34 +953,33 @@ pub(crate) fn fit_jaccard_prior(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Algorithm;
 
     #[test]
     fn eight_algorithms_are_eight_named_compositions() {
         use GeneratorKind::*;
         use VerifierKind::*;
-        let expect = [
-            (Algorithm::AllPairs, Composition::new(AllPairs, Exact)),
-            (Algorithm::ApBayesLsh, Composition::new(AllPairs, Bayes)),
-            (
-                Algorithm::ApBayesLshLite,
-                Composition::new(AllPairs, BayesLite),
-            ),
-            (Algorithm::Lsh, Composition::new(LshBanding, Exact)),
-            (Algorithm::LshApprox, Composition::new(LshBanding, Mle)),
-            (Algorithm::LshBayesLsh, Composition::new(LshBanding, Bayes)),
-            (
-                Algorithm::LshBayesLshLite,
-                Composition::new(LshBanding, BayesLite),
-            ),
-            (Algorithm::PpjoinPlus, Composition::new(PpjoinPlus, Exact)),
-        ];
-        for (algo, comp) in expect {
-            assert_eq!(algo.composition(), comp, "{algo}");
+        let names: Vec<&str> = Composition::PAPER.iter().map(|&(n, _)| n).collect();
+        assert_eq!(
+            names,
+            [
+                "AllPairs",
+                "AP+BayesLSH",
+                "AP+BayesLSH-Lite",
+                "LSH",
+                "LSH Approx",
+                "LSH+BayesLSH",
+                "LSH+BayesLSH-Lite",
+                "PPJoin+"
+            ]
+        );
+        assert_eq!(Composition::PAPER[1].1, Composition::new(AllPairs, Bayes));
+        assert_eq!(Composition::PAPER[4].1, Composition::new(LshBanding, Mle));
+        for (name, comp) in Composition::PAPER {
+            assert_eq!(comp.paper_name(), Some(name));
         }
         // The grid is larger than the paper's eight points.
-        let off_grid = Composition::new(GeneratorKind::PpjoinPlus, VerifierKind::Bayes);
-        assert!(Algorithm::ALL.iter().all(|a| a.composition() != off_grid));
+        assert_eq!(Composition::new(PpjoinPlus, Bayes).paper_name(), None);
+        assert_eq!(Composition::new(LshBanding, Sprt).paper_name(), None);
     }
 
     #[test]
@@ -948,14 +1012,8 @@ mod tests {
         data.push(SparseVector::from_pairs(vec![(0, 0.5), (3, 2.0)]));
         data.push(SparseVector::from_pairs(vec![(0, 1.5), (2, 1.0)]));
         let cfg = PipelineConfig::jaccard(0.5);
-        let mut pool = SigPool::for_config(&cfg, &data);
-        let mut ctx = SearchContext {
-            data: &data,
-            cfg: &cfg,
-            pool: &mut pool,
-            index: None,
-        };
-        let err = run_composition(Algorithm::LshBayesLsh.composition(), &mut ctx).unwrap_err();
+        let comp = Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes);
+        let err = run_composition(comp, &data, &cfg).unwrap_err();
         assert_eq!(
             err,
             SearchError::NonBinaryData {

@@ -1,10 +1,9 @@
 //! Typed errors for the fallible search API.
 //!
-//! The legacy [`crate::pipeline::run_algorithm`] shim keeps its historical
-//! panics for compatibility; every entry point of the builder-based API
-//! ([`crate::searcher::SearcherBuilder`], [`crate::searcher::Searcher`],
-//! [`crate::compose::run_composition`]) reports failures through
-//! [`SearchError`] instead.
+//! Every entry point — the one-shot [`crate::compose::run_composition`],
+//! [`crate::searcher::SearcherBuilder`] and [`crate::searcher::Searcher`]
+//! — checks its input up front and reports failures through
+//! [`SearchError`] rather than panicking.
 
 /// A structured expected-vs-found discrepancy in one configuration field.
 ///

@@ -23,8 +23,10 @@
 //!   ("LSH Approx", Section 3), the baseline BayesLSH is measured against.
 //! * [`compose`] — the composable layer: [`compose::CandidateGenerator`] ×
 //!   [`compose::Verifier`] trait objects whose grid the paper's eight
-//!   algorithms are named points of; each [`VerifierKind`] verifies by
-//!   handing its decision rule to the scan driver.
+//!   algorithms are points of ([`Composition::PAPER`] names them), and
+//!   [`run_composition`], the one-shot batch join over any point; each
+//!   [`VerifierKind`] verifies by handing its decision rule to the scan
+//!   driver.
 //! * [`searcher`] — the build-once/query-many API: a [`Searcher`] hashes
 //!   and indexes a corpus once, then serves batch joins, threshold point
 //!   queries, Bayesian-pruned top-k, and incremental inserts.
@@ -32,8 +34,8 @@
 //!   [`Searcher::save`]/[`Searcher::load`] make the built searcher a
 //!   durable artifact (the loaded searcher is bit-identical in behaviour),
 //!   with [`SnapshotHeader`] probing and typed [`SnapshotError`]s.
-//! * [`pipeline`] — the eight named [`Algorithm`]s and the legacy one-shot
-//!   [`run_algorithm`] shim over the composable layer.
+//! * [`pipeline`] — [`PipelineConfig`], the paper's parameters with
+//!   their range checks, and the exact [`pipeline::ground_truth`].
 //! * [`metrics`] — recall and estimation-error reports (Tables 3–5).
 //!
 //! Extensions beyond the paper (built per its own Section 4 recipe):
@@ -110,7 +112,7 @@ pub use metrics::{estimate_errors, recall_against, ErrorStats};
 pub use minmatch::{MinMatchCache, MinMatchTable};
 pub use parallel::candidate_ids;
 pub use persist::{SnapshotError, SnapshotHeader, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC};
-pub use pipeline::{run_algorithm, Algorithm, PipelineConfig, PriorChoice, RunOutput};
+pub use pipeline::{PipelineConfig, PriorChoice};
 pub use posterior::PosteriorModel;
 pub use searcher::{
     merge_query_outputs, CandidateScan, HashMode, KnnParams, KnnStats, QueryOutput, QueryStats,

@@ -741,9 +741,10 @@ impl Searcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Algorithm;
     use bayeslsh_numeric::Xoshiro256;
     use bayeslsh_sparse::SparseVector;
+
+    const LITE: Composition = Composition::new(GeneratorKind::LshBanding, VerifierKind::BayesLite);
 
     fn corpus(seed: u64) -> Dataset {
         let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -772,7 +773,7 @@ mod tests {
 
     fn snapshot_bytes() -> Vec<u8> {
         let s = Searcher::builder(PipelineConfig::cosine(0.7))
-            .algorithm(Algorithm::LshBayesLshLite)
+            .composition(LITE)
             .parallelism(Parallelism::serial())
             .build(corpus(77))
             .unwrap();
@@ -787,7 +788,7 @@ mod tests {
         let h = SnapshotHeader::read(&bytes[..]).unwrap();
         assert_eq!(h.format_version, SNAPSHOT_FORMAT_VERSION);
         assert_eq!(h.measure, Measure::Cosine);
-        assert_eq!(h.composition, Algorithm::LshBayesLshLite.composition());
+        assert_eq!(h.composition, LITE);
         assert_eq!(h.hash_mode, HashMode::Eager);
         assert_eq!(h.threads, 1);
         assert_eq!(h.n_vectors, 20);
@@ -800,10 +801,7 @@ mod tests {
         let loaded = Searcher::load(&bytes[..]).unwrap();
         assert_eq!(loaded.len(), 20);
         assert_eq!(loaded.threads(), 1);
-        assert_eq!(
-            loaded.composition(),
-            Algorithm::LshBayesLshLite.composition()
-        );
+        assert_eq!(loaded.composition(), LITE);
         // Thread-budget override re-resolves without touching results.
         let wide = Searcher::load_with_parallelism(&bytes[..], Parallelism::threads(4)).unwrap();
         assert_eq!(wide.threads(), 4);

@@ -1,133 +1,23 @@
-//! The paper's eight named algorithms and the legacy one-shot entry point.
+//! Pipeline configuration and exact ground truth.
 //!
-//! The paper's experiments (Section 5.1) compare eight algorithms; each is
-//! a composition of a candidate generator and a verification strategy:
-//!
-//! | Algorithm            | Candidates | Verification                      |
-//! |----------------------|------------|-----------------------------------|
-//! | `AllPairs`           | —          | exact (inline)                    |
-//! | `ApBayesLsh`         | AllPairs   | BayesLSH (estimates)              |
-//! | `ApBayesLshLite`     | AllPairs   | BayesLSH pruning + exact          |
-//! | `Lsh`                | banding    | exact                             |
-//! | `LshApprox`          | banding    | fixed-n MLE                       |
-//! | `LshBayesLsh`        | banding    | BayesLSH (estimates)              |
-//! | `LshBayesLshLite`    | banding    | BayesLSH pruning + exact          |
-//! | `PpjoinPlus`         | —          | exact (inline; binary only)       |
-//!
-//! Since the `Searcher` redesign these are literally compositions: each
-//! [`Algorithm`] maps to a [`Composition`] via [`Algorithm::composition`],
-//! and [`run_algorithm`] is a thin compatibility shim that builds a
-//! transient [`SearchContext`] and delegates to
-//! [`crate::compose::run_composition`]. New code should prefer
-//! [`crate::searcher::Searcher`], which hashes and indexes the corpus once
-//! and serves repeated queries; `run_algorithm` rebuilds both on every
-//! call.
-//!
-//! LSH-based pipelines share one signature pool between candidate
-//! generation and verification, reproducing the paper's amortization
-//! argument ("it exploits the hashes of the objects for candidate pruning,
-//! further amortizing the costs of hashing").
+//! [`PipelineConfig`] carries every knob of the paper's Section 5.1 setup
+//! (threshold, the ε/δ/γ guarantees, hash budgets, the banding plan, the
+//! hash family and the thread budget) and derives the engine-level configs
+//! from it; [`ground_truth`] is the exact join recall is measured against.
+//! The paper's eight algorithms are points of the generator × verifier
+//! grid in [`crate::compose`], named by
+//! [`crate::compose::Composition::PAPER`]; run one with
+//! [`crate::compose::run_composition`], or build a
+//! [`crate::searcher::Searcher`] to hash and index a corpus once for many
+//! operations.
 
 use bayeslsh_candgen::{all_pairs_cosine, all_pairs_jaccard, BandingParams, BandingPlan};
 use bayeslsh_lsh::{FamilyConfig, Measure};
 use bayeslsh_numeric::Parallelism;
 use bayeslsh_sparse::{l2_similarity, Dataset};
 
-use crate::compose::{
-    run_composition, Composition, GeneratorKind, SearchContext, SigPool, VerifierKind,
-};
 use crate::config::{BayesLshConfig, LiteConfig, SprtConfig};
-use crate::engine::EngineStats;
 use crate::error::SearchError;
-
-/// The eight algorithms of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algorithm {
-    /// AllPairs, exact (Bayardo et al.).
-    AllPairs,
-    /// AllPairs candidates + BayesLSH verification.
-    ApBayesLsh,
-    /// AllPairs candidates + BayesLSH-Lite verification.
-    ApBayesLshLite,
-    /// LSH banding candidates + exact verification.
-    Lsh,
-    /// LSH banding candidates + fixed-n MLE estimation.
-    LshApprox,
-    /// LSH banding candidates + BayesLSH verification.
-    LshBayesLsh,
-    /// LSH banding candidates + BayesLSH-Lite verification.
-    LshBayesLshLite,
-    /// PPJoin+, exact (binary vectors only).
-    PpjoinPlus,
-}
-
-impl Algorithm {
-    /// All algorithms, in the paper's presentation order.
-    pub const ALL: [Algorithm; 8] = [
-        Algorithm::AllPairs,
-        Algorithm::ApBayesLsh,
-        Algorithm::ApBayesLshLite,
-        Algorithm::Lsh,
-        Algorithm::LshApprox,
-        Algorithm::LshBayesLsh,
-        Algorithm::LshBayesLshLite,
-        Algorithm::PpjoinPlus,
-    ];
-
-    /// Display name matching the paper's tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algorithm::AllPairs => "AllPairs",
-            Algorithm::ApBayesLsh => "AP+BayesLSH",
-            Algorithm::ApBayesLshLite => "AP+BayesLSH-Lite",
-            Algorithm::Lsh => "LSH",
-            Algorithm::LshApprox => "LSH Approx",
-            Algorithm::LshBayesLsh => "LSH+BayesLSH",
-            Algorithm::LshBayesLshLite => "LSH+BayesLSH-Lite",
-            Algorithm::PpjoinPlus => "PPJoin+",
-        }
-    }
-
-    /// The (generator, verifier) composition this algorithm names.
-    pub fn composition(&self) -> Composition {
-        match self {
-            Algorithm::AllPairs => Composition::new(GeneratorKind::AllPairs, VerifierKind::Exact),
-            Algorithm::ApBayesLsh => Composition::new(GeneratorKind::AllPairs, VerifierKind::Bayes),
-            Algorithm::ApBayesLshLite => {
-                Composition::new(GeneratorKind::AllPairs, VerifierKind::BayesLite)
-            }
-            Algorithm::Lsh => Composition::new(GeneratorKind::LshBanding, VerifierKind::Exact),
-            Algorithm::LshApprox => Composition::new(GeneratorKind::LshBanding, VerifierKind::Mle),
-            Algorithm::LshBayesLsh => {
-                Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes)
-            }
-            Algorithm::LshBayesLshLite => {
-                Composition::new(GeneratorKind::LshBanding, VerifierKind::BayesLite)
-            }
-            Algorithm::PpjoinPlus => {
-                Composition::new(GeneratorKind::PpjoinPlus, VerifierKind::Exact)
-            }
-        }
-    }
-
-    /// True for the exact (non-randomized) algorithms. Note plain `Lsh` is
-    /// *not* exact: its verification is, but the banding index misses an
-    /// expected ε-fraction of true pairs.
-    pub fn is_exact(&self) -> bool {
-        matches!(self, Algorithm::AllPairs | Algorithm::PpjoinPlus)
-    }
-
-    /// True for algorithms usable on general weighted vectors.
-    pub fn supports_weighted(&self) -> bool {
-        !matches!(self, Algorithm::PpjoinPlus)
-    }
-}
-
-impl std::fmt::Display for Algorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Prior selection for the Jaccard posterior model (paper Section 4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,20 +163,11 @@ impl PipelineConfig {
         }
     }
 
-    /// Compatibility shim from the era when the pipeline was configured by
-    /// bare [`Measure`]: replaces [`PipelineConfig::family`] with that
-    /// measure's default family parameters.
-    #[deprecated(note = "set the `family` field (a `FamilyConfig`) directly")]
-    pub fn measure(mut self, measure: Measure) -> Self {
-        self.family = FamilyConfig::for_measure(measure);
-        self
-    }
-
     /// Check every parameter against its admissible range, with a
     /// descriptive [`SearchError::InvalidConfig`] on the first violation.
-    /// [`crate::searcher::SearcherBuilder::build`] calls this; the legacy
-    /// [`run_algorithm`] shim does not (it keeps the panicking behaviour of
-    /// the engine-level configs for compatibility).
+    /// Every entry point that runs a config calls this before it hashes
+    /// anything: [`crate::compose::run_composition`],
+    /// [`crate::searcher::SearcherBuilder::build`] and snapshot loading.
     pub fn validate(&self) -> Result<(), SearchError> {
         fn unit_open(param: &'static str, v: f64) -> Result<(), SearchError> {
             if v > 0.0 && v < 1.0 {
@@ -422,29 +303,6 @@ impl PipelineConfig {
     }
 }
 
-/// The result of one pipeline run.
-#[derive(Debug, Clone)]
-pub struct RunOutput {
-    /// Which algorithm ran.
-    pub algorithm: Algorithm,
-    /// Output pairs with similarities (exact or estimated).
-    pub pairs: Vec<(u32, u32, f64)>,
-    /// Candidate pairs generated (0 for single-phase exact algorithms,
-    /// whose generation and verification are fused).
-    pub candidates: u64,
-    /// Seconds spent generating candidates.
-    pub candgen_secs: f64,
-    /// Seconds spent verifying.
-    pub verify_secs: f64,
-    /// Total wall-clock seconds.
-    pub total_secs: f64,
-    /// Verification statistics (BayesLSH variants only).
-    pub engine: Option<EngineStats>,
-    /// The banding plan used (LSH-banding algorithms only), surfacing the
-    /// achieved false-negative rate when the band cap clamps `l`.
-    pub banding: Option<BandingPlan>,
-}
-
 /// Exact ground truth for `(measure, threshold)` via the fastest exact
 /// algorithm (AllPairs).
 pub fn ground_truth(data: &Dataset, measure: Measure, threshold: f64) -> Vec<(u32, u32, f64)> {
@@ -479,57 +337,12 @@ pub(crate) fn all_pairs_l2(data: &Dataset, threshold: f64) -> Vec<(u32, u32, f64
     out
 }
 
-fn assert_binary(data: &Dataset, algo: Algorithm) {
-    assert!(
-        data.vectors().iter().all(|v| v.is_binary()),
-        "{} requires binary vectors; call Dataset::binarized() first",
-        algo.name()
-    );
-}
-
-/// Run one algorithm end to end.
-///
-/// This is the legacy one-shot entry point, kept as a compatibility shim:
-/// each call builds a fresh signature pool, runs the algorithm's
-/// [`Composition`], and throws the pool away. Code that issues more than
-/// one operation against the same corpus should build a
-/// [`crate::searcher::Searcher`] instead, which hashes and indexes once.
-///
-/// # Panics
-///
-/// Panics (as it always has) when the data is not binary but the
-/// algorithm/measure requires it, or on nonsensical engine parameters. The
-/// builder API reports both as typed [`SearchError`]s.
-pub fn run_algorithm(algo: Algorithm, data: &Dataset, cfg: &PipelineConfig) -> RunOutput {
-    let comp = algo.composition();
-    if comp.requires_binary(cfg.family.measure()) {
-        assert_binary(data, algo);
-    }
-    let mut pool = SigPool::for_config(cfg, data);
-    let mut ctx = SearchContext {
-        data,
-        cfg,
-        pool: &mut pool,
-        index: None,
-    };
-    let out =
-        run_composition(comp, &mut ctx).unwrap_or_else(|e| panic!("{} failed: {e}", algo.name()));
-    let banding = (comp.generator == GeneratorKind::LshBanding).then(|| cfg.banding_plan());
-    RunOutput {
-        algorithm: algo,
-        pairs: out.pairs,
-        candidates: out.candidates,
-        candgen_secs: out.candgen_secs,
-        verify_secs: out.verify_secs,
-        total_secs: out.total_secs,
-        engine: out.engine,
-        banding,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compose::{
+        run_composition, Composition, CompositionOutput, GeneratorKind, VerifierKind,
+    };
     use crate::metrics::{estimate_errors, recall_against};
     use bayeslsh_numeric::Xoshiro256;
     use bayeslsh_sparse::SparseVector;
@@ -559,6 +372,26 @@ mod tests {
         d
     }
 
+    /// The one-shot run every test below makes; all configs here are valid.
+    fn run(comp: Composition, data: &Dataset, cfg: &PipelineConfig) -> CompositionOutput {
+        run_composition(comp, data, cfg).unwrap_or_else(|e| panic!("{comp}: {e}"))
+    }
+
+    /// The paper's composition named `name`.
+    fn paper(name: &str) -> Composition {
+        Composition::PAPER
+            .into_iter()
+            .find(|&(n, _)| n == name)
+            .map(|(_, c)| c)
+            .unwrap()
+    }
+
+    /// AllPairs and PPJoin+ are exact; plain LSH is not (its verification
+    /// is, but banding misses an expected ε-fraction of true pairs).
+    fn is_exact(comp: Composition) -> bool {
+        comp.verifier == VerifierKind::Exact && comp.generator != GeneratorKind::LshBanding
+    }
+
     #[test]
     fn cosine_pipelines_agree_with_ground_truth() {
         let data = corpus(91);
@@ -566,27 +399,22 @@ mod tests {
         let gt = ground_truth(&data, Measure::Cosine, 0.7);
         assert!(gt.len() >= 20, "ground truth too small: {}", gt.len());
 
-        for algo in [
-            Algorithm::AllPairs,
-            Algorithm::ApBayesLsh,
-            Algorithm::ApBayesLshLite,
-            Algorithm::Lsh,
-            Algorithm::LshApprox,
-            Algorithm::LshBayesLsh,
-            Algorithm::LshBayesLshLite,
-        ] {
-            let out = run_algorithm(algo, &data, &cfg);
+        for (name, comp) in Composition::PAPER {
+            if comp.requires_binary(Measure::Cosine) {
+                continue;
+            }
+            let out = run(comp, &data, &cfg);
             let recall = recall_against(&gt, &out.pairs);
-            let min_recall = if algo.is_exact() { 1.0 } else { 0.88 };
+            let min_recall = if is_exact(comp) { 1.0 } else { 0.88 };
             assert!(
                 recall >= min_recall,
-                "{algo}: recall {recall} (expected >= {min_recall}), output {} truth {}",
+                "{name}: recall {recall} (expected >= {min_recall}), output {} truth {}",
                 out.pairs.len(),
                 gt.len()
             );
             assert!(out.total_secs >= 0.0);
-            if !algo.is_exact() {
-                assert!(out.candidates > 0, "{algo} should report candidates");
+            if !is_exact(comp) {
+                assert!(out.candidates > 0, "{name} should report candidates");
             }
         }
     }
@@ -598,11 +426,11 @@ mod tests {
         let gt = ground_truth(&data, Measure::Jaccard, 0.5);
         assert!(gt.len() >= 20, "ground truth too small: {}", gt.len());
 
-        for algo in Algorithm::ALL {
-            let out = run_algorithm(algo, &data, &cfg);
+        for (name, comp) in Composition::PAPER {
+            let out = run(comp, &data, &cfg);
             let recall = recall_against(&gt, &out.pairs);
-            let min_recall = if algo.is_exact() { 1.0 } else { 0.88 };
-            assert!(recall >= min_recall, "{algo}: recall {recall}");
+            let min_recall = if is_exact(comp) { 1.0 } else { 0.88 };
+            assert!(recall >= min_recall, "{name}: recall {recall}");
         }
     }
 
@@ -610,8 +438,8 @@ mod tests {
     fn binary_cosine_ppjoin_matches_allpairs() {
         let data = corpus(93).binarized();
         let cfg = PipelineConfig::cosine(0.7);
-        let ap = run_algorithm(Algorithm::AllPairs, &data, &cfg);
-        let pp = run_algorithm(Algorithm::PpjoinPlus, &data, &cfg);
+        let ap = run(paper("AllPairs"), &data, &cfg);
+        let pp = run(paper("PPJoin+"), &data, &cfg);
         let ids = |v: &[(u32, u32, f64)]| {
             let mut v: Vec<(u32, u32)> = v.iter().map(|&(a, b, _)| (a, b)).collect();
             v.sort_unstable();
@@ -624,7 +452,7 @@ mod tests {
     fn bayeslsh_estimates_respect_accuracy_contract() {
         let data = corpus(94);
         let cfg = PipelineConfig::cosine(0.6);
-        let out = run_algorithm(Algorithm::LshBayesLsh, &data, &cfg);
+        let out = run(paper("LSH+BayesLSH"), &data, &cfg);
         assert!(!out.pairs.is_empty());
         let stats = estimate_errors(&out.pairs, &data, Measure::Cosine, cfg.delta);
         // Pr[error >= delta] < gamma holds in expectation; allow slack for
@@ -643,7 +471,7 @@ mod tests {
         // magnitude within a few chunks.
         let data = corpus(95);
         let cfg = PipelineConfig::cosine(0.7);
-        let out = run_algorithm(Algorithm::LshBayesLsh, &data, &cfg);
+        let out = run(paper("LSH+BayesLSH"), &data, &cfg);
         let stats = out.engine.expect("BayesLSH reports stats");
         let curve = stats.survivors_curve();
         let total = curve[0].1 as f64;
@@ -661,11 +489,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires binary")]
     fn ppjoin_rejects_weighted_vectors() {
         let data = corpus(96);
         let cfg = PipelineConfig::cosine(0.7);
-        run_algorithm(Algorithm::PpjoinPlus, &data, &cfg);
+        assert_eq!(
+            run_composition(paper("PPJoin+"), &data, &cfg).unwrap_err(),
+            SearchError::NonBinaryData {
+                requires: "PPJoin+"
+            }
+        );
     }
 
     #[test]
@@ -673,23 +505,12 @@ mod tests {
         let data = corpus(97).binarized();
         let mut cfg = PipelineConfig::jaccard(0.5);
         cfg.prior = PriorChoice::Fitted;
-        let fitted = run_algorithm(Algorithm::ApBayesLsh, &data, &cfg);
+        let fitted = run(paper("AP+BayesLSH"), &data, &cfg);
         cfg.prior = PriorChoice::Uniform;
-        let uniform = run_algorithm(Algorithm::ApBayesLsh, &data, &cfg);
+        let uniform = run(paper("AP+BayesLSH"), &data, &cfg);
         let gt = ground_truth(&data, Measure::Jaccard, 0.5);
         assert!(recall_against(&gt, &fitted.pairs) >= 0.88);
         assert!(recall_against(&gt, &uniform.pairs) >= 0.88);
-    }
-
-    #[test]
-    fn algorithm_metadata() {
-        assert_eq!(Algorithm::ApBayesLsh.name(), "AP+BayesLSH");
-        assert_eq!(Algorithm::ALL.len(), 8);
-        assert!(Algorithm::AllPairs.is_exact());
-        assert!(!Algorithm::Lsh.is_exact());
-        assert!(!Algorithm::LshBayesLsh.is_exact());
-        assert!(!Algorithm::PpjoinPlus.supports_weighted());
-        assert_eq!(format!("{}", Algorithm::LshApprox), "LSH Approx");
     }
 
     #[test]
@@ -700,8 +521,11 @@ mod tests {
 
     #[test]
     fn validate_rejects_out_of_range_parameters() {
-        let bad = |mutate: fn(&mut PipelineConfig), param: &str| {
-            let mut cfg = PipelineConfig::cosine(0.7);
+        // Weighted vectors: the config check comes before the binary-input
+        // check, so even the Jaccard config below reports its parameter.
+        let data = corpus(99);
+        let bad_from = |base: PipelineConfig, mutate: fn(&mut PipelineConfig), param: &str| {
+            let mut cfg = base;
             mutate(&mut cfg);
             match cfg.validate() {
                 Err(SearchError::InvalidConfig { param: p, .. }) => {
@@ -709,12 +533,33 @@ mod tests {
                 }
                 other => panic!("expected InvalidConfig for {param}, got {other:?}"),
             }
+            // The one-shot runner rejects the same config with the same
+            // error instead of panicking or silently running it.
+            for verifier in [
+                VerifierKind::Bayes,
+                VerifierKind::BayesLite,
+                VerifierKind::Sprt,
+            ] {
+                let comp = Composition::new(GeneratorKind::LshBanding, verifier);
+                match run_composition(comp, &data, &cfg) {
+                    Err(SearchError::InvalidConfig { param: p, .. }) => {
+                        assert_eq!(p, param, "{comp}: wrong field reported")
+                    }
+                    other => panic!("{comp}: expected InvalidConfig for {param}, got {other:?}"),
+                }
+            }
+        };
+        let bad = |mutate: fn(&mut PipelineConfig), param: &str| {
+            bad_from(PipelineConfig::cosine(0.7), mutate, param)
         };
         bad(|c| c.threshold = 0.0, "threshold");
         bad(|c| c.threshold = 1.5, "threshold");
+        bad(|c| c.threshold = f64::NAN, "threshold");
         bad(|c| c.epsilon = 0.0, "epsilon");
         bad(|c| c.epsilon = 1.0, "epsilon");
+        bad(|c| c.delta = 0.0, "delta");
         bad(|c| c.delta = -0.05, "delta");
+        bad(|c| c.gamma = 1.0, "gamma");
         bad(|c| c.gamma = 2.0, "gamma");
         bad(|c| c.lsh_fnr = 0.0, "lsh_fnr");
         bad(|c| c.k = 0, "k");
@@ -723,15 +568,11 @@ mod tests {
         bad(|c| c.max_hashes = 16, "max_hashes");
         bad(|c| c.lite_h = 8, "lite_h");
         bad(|c| c.approx_hashes = 0, "approx_hashes");
-        let mut cfg = PipelineConfig::jaccard(0.5);
-        cfg.prior_sample = 0;
-        assert!(matches!(
-            cfg.validate(),
-            Err(SearchError::InvalidConfig {
-                param: "prior_sample",
-                ..
-            })
-        ));
+        bad_from(
+            PipelineConfig::jaccard(0.5),
+            |c| c.prior_sample = 0,
+            "prior_sample",
+        );
     }
 
     #[test]
@@ -748,16 +589,5 @@ mod tests {
         let plan = PipelineConfig::cosine(0.7).banding_plan();
         assert!(!plan.clamped);
         assert!(plan.achieved_fnr <= plan.requested_fnr);
-    }
-
-    #[test]
-    fn run_output_surfaces_banding_plan_for_lsh_algorithms() {
-        let data = corpus(98);
-        let cfg = PipelineConfig::cosine(0.7);
-        let lsh = run_algorithm(Algorithm::Lsh, &data, &cfg);
-        let plan = lsh.banding.expect("LSH runs report their banding plan");
-        assert_eq!(plan.params, cfg.banding_plan().params);
-        let ap = run_algorithm(Algorithm::AllPairs, &data, &cfg);
-        assert!(ap.banding.is_none());
     }
 }

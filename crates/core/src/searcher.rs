@@ -56,15 +56,15 @@ use bayeslsh_numeric::Parallelism;
 use bayeslsh_sparse::{Dataset, SparseVector};
 
 use crate::compose::{
-    run_composition_prechecked, with_rule, Composition, CompositionOutput, GeneratorKind,
-    ScanFront, SearchContext, SigPool,
+    run_in_context, with_rule, Composition, CompositionOutput, GeneratorKind, ScanFront,
+    SearchContext, SigPool, VerifierKind,
 };
 use crate::engine::{scan, DecisionRule, EngineStats, Scratch};
 use crate::error::SearchError;
 use crate::jaccard_model::JaccardModel;
 use crate::minmatch::MinMatchCache;
 use crate::parallel::par_scan;
-use crate::pipeline::{Algorithm, PipelineConfig};
+use crate::pipeline::PipelineConfig;
 use crate::posterior::{Posterior, PosteriorModel};
 
 /// When corpus signatures are hashed.
@@ -98,7 +98,7 @@ impl SearcherBuilder {
     pub fn new(cfg: PipelineConfig) -> Self {
         Self {
             cfg,
-            composition: Algorithm::LshBayesLsh.composition(),
+            composition: Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes),
             mode: HashMode::Eager,
         }
     }
@@ -136,14 +136,9 @@ impl SearcherBuilder {
         self
     }
 
-    /// Use the composition named by one of the paper's eight algorithms.
-    pub fn algorithm(mut self, algo: Algorithm) -> Self {
-        self.composition = algo.composition();
-        self
-    }
-
-    /// Use an arbitrary generator × verifier composition (including
-    /// off-grid ones the paper never evaluated).
+    /// Use a generator × verifier composition: one of the paper's eight
+    /// ([`Composition::PAPER`]) or an off-grid one the paper never
+    /// evaluated.
     pub fn composition(mut self, composition: Composition) -> Self {
         self.composition = composition;
         self
@@ -175,26 +170,7 @@ impl SearcherBuilder {
     /// the measure or generator needs binary vectors and `data` has
     /// weighted ones.
     pub fn build(self, data: Dataset) -> Result<Searcher, SearchError> {
-        self.cfg.validate()?;
-        let measure = self.cfg.family.measure();
-        if self.composition.generator == GeneratorKind::PpjoinPlus
-            && matches!(measure, Measure::L2 | Measure::Mips)
-        {
-            return Err(SearchError::invalid(
-                "family",
-                format!(
-                    "PPJoin+ supports cosine and Jaccard only, got {}",
-                    self.cfg.family
-                ),
-            ));
-        }
-        if self.composition.requires_binary(measure)
-            && !data.vectors().iter().all(|v| v.is_binary())
-        {
-            return Err(SearchError::NonBinaryData {
-                requires: self.composition.binary_requirement(measure),
-            });
-        }
+        self.composition.check(&self.cfg, &data)?;
         // Resolve the thread budget once: `Auto` reads the environment /
         // core count here, and every later operation (including the
         // compositions run through `all_pairs`) sees the fixed count.
@@ -654,7 +630,7 @@ impl Searcher {
             pool: &mut pool,
             index: Some(&self.index),
         };
-        let mut out = run_composition_prechecked(self.composition, &mut ctx)?;
+        let mut out = run_in_context(self.composition, &mut ctx)?;
         if self.n_removed > 0 {
             // The exact generators (AllPairs, PPJoin+) scan the raw corpus,
             // which keeps tombstoned vectors in place until `compact()`;
@@ -1439,6 +1415,8 @@ mod tests {
     use super::*;
     use bayeslsh_numeric::Xoshiro256;
     use bayeslsh_sparse::cosine;
+    use GeneratorKind::LshBanding;
+    use VerifierKind::{Bayes, BayesLite, Exact};
 
     fn corpus(seed: u64) -> Dataset {
         let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -1495,7 +1473,7 @@ mod tests {
     fn query_finds_self_and_respects_threshold() {
         let data = corpus(3);
         let s = Searcher::builder(PipelineConfig::cosine(0.7))
-            .algorithm(Algorithm::LshBayesLshLite)
+            .composition(Composition::new(LshBanding, BayesLite))
             .build(data)
             .unwrap();
         for qid in [0u32, 13, 47] {
@@ -1554,7 +1532,7 @@ mod tests {
     fn insert_then_query_finds_the_new_vector() {
         let data = corpus(6);
         let mut s = Searcher::builder(PipelineConfig::cosine(0.7))
-            .algorithm(Algorithm::Lsh)
+            .composition(Composition::new(LshBanding, Exact))
             .build(data)
             .unwrap();
         let planted = s.data().vector(11).clone();
@@ -1626,7 +1604,7 @@ mod tests {
     fn all_pairs_can_run_repeatedly_without_rehashing() {
         let data = corpus(9);
         let s = Searcher::builder(PipelineConfig::cosine(0.7))
-            .algorithm(Algorithm::LshBayesLsh)
+            .composition(Composition::new(LshBanding, Bayes))
             .build(data)
             .unwrap();
         let first = s.all_pairs().unwrap();
@@ -1647,7 +1625,7 @@ mod tests {
         let data = corpus(20);
         let build = || {
             Searcher::builder(PipelineConfig::cosine(0.7))
-                .algorithm(Algorithm::LshBayesLsh)
+                .composition(Composition::new(LshBanding, Bayes))
                 .build(corpus(20))
                 .unwrap()
         };
@@ -1693,7 +1671,7 @@ mod tests {
         // lazy (write-locked ensure) paths.
         for mode in [HashMode::Eager, HashMode::Lazy] {
             let s = Searcher::builder(PipelineConfig::cosine(0.5))
-                .algorithm(Algorithm::LshBayesLsh)
+                .composition(Composition::new(LshBanding, Bayes))
                 .hash_mode(mode)
                 .build(corpus(21))
                 .unwrap();
@@ -1725,7 +1703,7 @@ mod tests {
         // must not surface from queries, top_k, or all_pairs, must survive
         // a snapshot round-trip, and must be removable.
         let mut s = Searcher::builder(PipelineConfig::cosine(0.7))
-            .algorithm(Algorithm::LshBayesLsh)
+            .composition(Composition::new(LshBanding, Bayes))
             .build(corpus(31))
             .unwrap();
         let id = s.insert(SparseVector::empty()).unwrap();
@@ -1756,7 +1734,7 @@ mod tests {
     #[test]
     fn remove_then_compact_round_trips_through_snapshot() {
         let mut s = Searcher::builder(PipelineConfig::cosine(0.5))
-            .algorithm(Algorithm::LshBayesLsh)
+            .composition(Composition::new(LshBanding, Bayes))
             .build(corpus(41))
             .unwrap();
         let victim = 13u32;

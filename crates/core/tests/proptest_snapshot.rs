@@ -7,7 +7,8 @@
 use std::sync::OnceLock;
 
 use bayeslsh_core::{
-    Algorithm, Parallelism, PipelineConfig, Searcher, SnapshotError, SnapshotHeader,
+    Composition, GeneratorKind, Parallelism, PipelineConfig, Searcher, SnapshotError,
+    SnapshotHeader, VerifierKind,
 };
 use bayeslsh_numeric::Xoshiro256;
 use bayeslsh_sparse::{Dataset, SparseVector};
@@ -43,7 +44,10 @@ fn snapshot() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
         let s = Searcher::builder(PipelineConfig::cosine(0.7))
-            .algorithm(Algorithm::LshBayesLshLite)
+            .composition(Composition::new(
+                GeneratorKind::LshBanding,
+                VerifierKind::BayesLite,
+            ))
             .parallelism(Parallelism::serial())
             .build(corpus(999))
             .unwrap();

@@ -3,7 +3,9 @@
 
 use std::path::Path;
 
-use bayeslsh_core::{Algorithm, Composition, HashMode, PipelineConfig, Searcher, SearcherBuilder};
+use bayeslsh_core::{
+    Composition, GeneratorKind, HashMode, PipelineConfig, Searcher, SearcherBuilder, VerifierKind,
+};
 use bayeslsh_numeric::{fan_out, fnv1a_checksum, Parallelism};
 use bayeslsh_sparse::Dataset;
 
@@ -18,8 +20,8 @@ use crate::manifest::{
 /// them as independent v1 snapshots plus a checksummed
 /// [`ShardManifest`].
 ///
-/// Mirrors [`SearcherBuilder`]'s knobs (algorithm/composition, hash
-/// mode, parallelism) and adds the sharding ones (shard count,
+/// Mirrors [`SearcherBuilder`]'s knobs (composition, hash mode,
+/// parallelism) and adds the sharding ones (shard count,
 /// partition policy). Two determinism guarantees:
 ///
 /// * **Partitioning is replayable**: the [`PartitionFn`] and its seed
@@ -47,20 +49,15 @@ impl ShardBuilder {
     pub fn new(cfg: PipelineConfig) -> Self {
         Self {
             cfg,
-            composition: Algorithm::LshBayesLsh.composition(),
+            composition: Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes),
             mode: HashMode::Eager,
             n_shards: 1,
             partition: PartitionFn::RoundRobin,
         }
     }
 
-    /// Use the composition named by one of the paper's eight algorithms.
-    pub fn algorithm(mut self, algo: Algorithm) -> Self {
-        self.composition = algo.composition();
-        self
-    }
-
-    /// Use an arbitrary generator × verifier composition.
+    /// Use a generator × verifier composition: one of the paper's eight
+    /// (`Composition::PAPER`) or an off-grid one.
     pub fn composition(mut self, composition: Composition) -> Self {
         self.composition = composition;
         self

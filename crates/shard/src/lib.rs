@@ -29,7 +29,8 @@
 //!   silent mis-merge.
 //!
 //! The equivalence contract is pinned by `tests/shard_equivalence.rs`
-//! (all eight algorithm compositions × shard counts × thread budgets)
+//! (the paper's eight compositions plus LSH × SPRT × shard counts ×
+//! thread budgets)
 //! and a committed golden manifest fixture.
 
 pub mod builder;

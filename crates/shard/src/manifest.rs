@@ -314,7 +314,6 @@ pub fn config_fingerprint(cfg: &PipelineConfig, composition: Composition, mode: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bayeslsh_core::Algorithm;
 
     fn sample() -> ShardManifest {
         ShardManifest {
@@ -422,7 +421,7 @@ mod tests {
     #[test]
     fn fingerprint_tracks_config_not_parallelism() {
         let cfg = PipelineConfig::cosine(0.7);
-        let comp = Algorithm::LshBayesLsh.composition();
+        let comp = Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes);
         let base = config_fingerprint(&cfg, comp, HashMode::Eager);
         let mut par = cfg;
         par.parallelism = bayeslsh_numeric::Parallelism::threads(4);
@@ -431,9 +430,7 @@ mod tests {
         other.seed = 43;
         assert_ne!(base, config_fingerprint(&other, comp, HashMode::Eager));
         assert_ne!(base, config_fingerprint(&cfg, comp, HashMode::Lazy));
-        assert_ne!(
-            base,
-            config_fingerprint(&cfg, Algorithm::Lsh.composition(), HashMode::Eager)
-        );
+        let lsh = Composition::new(GeneratorKind::LshBanding, VerifierKind::Exact);
+        assert_ne!(base, config_fingerprint(&cfg, lsh, HashMode::Eager));
     }
 }

@@ -41,8 +41,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run two pipelines and cross-check them.
     let t = 0.6;
     let cfg = PipelineConfig::cosine(t);
-    let exact = run_algorithm(Algorithm::AllPairs, &data, &cfg);
-    let bayes = run_algorithm(Algorithm::ApBayesLsh, &data, &cfg);
+    let run = |verifier| {
+        let comp = Composition::new(GeneratorKind::AllPairs, verifier);
+        run_composition(comp, &data, &cfg)
+    };
+    let exact = run(VerifierKind::Exact)?;
+    let bayes = run(VerifierKind::Bayes)?;
     println!(
         "\nAllPairs (exact):   {} pairs in {:.3}s",
         exact.pairs.len(),

@@ -25,7 +25,8 @@ fn main() {
     // Find all user pairs with Jaccard >= 0.4 over their friend sets.
     let threshold = 0.4;
     let cfg = PipelineConfig::jaccard(threshold);
-    let out = run_algorithm(Algorithm::LshBayesLsh, &data, &cfg);
+    let lsh_bayes = Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes);
+    let out = run_composition(lsh_bayes, &data, &cfg).expect("valid config, binary corpus");
     println!(
         "\nLSH+BayesLSH: {} candidates -> {} similar user pairs in {:.2}s",
         out.candidates,

@@ -27,7 +27,8 @@ fn main() {
     // Near-duplicate threshold: cosine 0.9.
     let threshold = 0.9;
     let cfg = PipelineConfig::cosine(threshold);
-    let out = run_algorithm(Algorithm::ApBayesLshLite, &data, &cfg);
+    let ap_lite = Composition::new(GeneratorKind::AllPairs, VerifierKind::BayesLite);
+    let out = run_composition(ap_lite, &data, &cfg).expect("valid config");
     println!(
         "\nAP+BayesLSH-Lite: {} candidates -> {} near-duplicate pairs in {:.2}s",
         out.candidates,

@@ -23,7 +23,10 @@ fn main() {
     let cfg = PipelineConfig::cosine(0.5);
     let build_start = std::time::Instant::now();
     let searcher = Searcher::builder(cfg)
-        .algorithm(Algorithm::Lsh)
+        .composition(Composition::new(
+            GeneratorKind::LshBanding,
+            VerifierKind::Exact,
+        ))
         .build(data)
         .expect("valid config");
     let bands = searcher.banding_plan().params;

@@ -22,7 +22,10 @@ fn main() {
     let n = corpus.len();
     let t0 = Instant::now();
     let builder_side = Searcher::builder(PipelineConfig::cosine(threshold))
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(Composition::new(
+            GeneratorKind::LshBanding,
+            VerifierKind::BayesLite,
+        ))
         .build(corpus)
         .expect("valid config");
     let build_secs = t0.elapsed().as_secs_f64();

@@ -18,11 +18,14 @@ fn main() {
     );
 
     // Build once: hash signatures and bucket the LSH banding index. The
-    // algorithm picks the composition — LSH banding candidates verified by
+    // composition picks the algorithm — LSH banding candidates verified by
     // BayesLSH (incremental pruning + concentration-controlled estimates).
     let threshold = 0.7;
     let searcher = Searcher::builder(PipelineConfig::cosine(threshold))
-        .algorithm(Algorithm::LshBayesLsh)
+        .composition(Composition::new(
+            GeneratorKind::LshBanding,
+            VerifierKind::Bayes,
+        ))
         .build(data)
         .expect("valid config");
     let plan = searcher.banding_plan();

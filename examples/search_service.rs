@@ -19,7 +19,10 @@ fn main() {
     // when set — with output bit-identical to `Parallelism::serial()`.
     let t0 = std::time::Instant::now();
     let mut searcher = SearcherBuilder::cosine(threshold)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(Composition::new(
+            GeneratorKind::LshBanding,
+            VerifierKind::BayesLite,
+        ))
         .parallelism(Parallelism::Auto)
         .build(corpus)
         .expect("valid config");

@@ -17,13 +17,14 @@ fn main() {
     let threshold = 0.7;
     let dir = std::env::temp_dir().join(format!("bayeslsh_sharded_{}", std::process::id()));
     let cfg = PipelineConfig::cosine(threshold);
+    let lite = Composition::new(GeneratorKind::LshBanding, VerifierKind::BayesLite);
 
     // ---- Offline: partition, build every shard, persist the set. ----
     let corpus = Preset::Rcv1.load(/* scale */ 0.002, /* seed */ 11);
     let n = corpus.len();
     let t0 = Instant::now();
     let manifest = ShardBuilder::new(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(lite)
         .shards(4)
         .partition(PartitionFn::Hashed { seed: 11 })
         .build_to_dir(&corpus, &dir)
@@ -53,7 +54,7 @@ fn main() {
 
     // Scatter-gather answers are bit-identical to a single index.
     let single = Searcher::builder(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(lite)
         .build(corpus.clone())
         .expect("valid config");
     let q = corpus.vector(0).clone();
@@ -78,7 +79,7 @@ fn main() {
     // ---- Hot swap: a new build lands on disk; reload under traffic. ----
     let fresh = Preset::Rcv1.load(0.002, /* new seed */ 12);
     ShardBuilder::new(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(lite)
         .shards(6)
         .partition(PartitionFn::Hashed { seed: 12 })
         .build_to_dir(&fresh, &dir)

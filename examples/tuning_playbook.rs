@@ -14,6 +14,8 @@ use bayeslsh::prelude::*;
 fn main() {
     let data = Preset::WikiWords100K.load(0.003, 55);
     let t = 0.7;
+    let lsh = |verifier| Composition::new(GeneratorKind::LshBanding, verifier);
+    let run = |comp, cfg: &PipelineConfig| run_composition(comp, &data, cfg).expect("valid config");
     let truth = ground_truth(&data, Measure::Cosine, t);
     println!(
         "dataset: {} docs; exact result at cosine >= {t}: {} pairs\n",
@@ -29,7 +31,7 @@ fn main() {
     for eps in [0.01, 0.05, 0.10, 0.20] {
         let mut cfg = PipelineConfig::cosine(t);
         cfg.epsilon = eps;
-        let out = run_algorithm(Algorithm::LshBayesLsh, &data, &cfg);
+        let out = run(lsh(VerifierKind::Bayes), &cfg);
         println!(
             "{:>8.2} {:>9.1}% {:>10} {:>8.2}s",
             eps,
@@ -47,7 +49,7 @@ fn main() {
     for delta in [0.01, 0.03, 0.05, 0.09] {
         let mut cfg = PipelineConfig::cosine(t);
         cfg.delta = delta;
-        let out = run_algorithm(Algorithm::LshBayesLsh, &data, &cfg);
+        let out = run(lsh(VerifierKind::Bayes), &cfg);
         let err = estimate_errors(&out.pairs, &data, Measure::Cosine, delta);
         println!(
             "{:>8.2} {:>11.4} {:>12} {:>8.2}s",
@@ -63,7 +65,7 @@ fn main() {
     for gamma in [0.01, 0.03, 0.05, 0.09] {
         let mut cfg = PipelineConfig::cosine(t);
         cfg.gamma = gamma;
-        let out = run_algorithm(Algorithm::LshBayesLsh, &data, &cfg);
+        let out = run(lsh(VerifierKind::Bayes), &cfg);
         let err = estimate_errors(&out.pairs, &data, Measure::Cosine, 0.05);
         println!(
             "{:>8.2} {:>13.1}% {:>8.2}s",
@@ -74,11 +76,15 @@ fn main() {
     }
 
     println!("\nreference points:");
-    for algo in [Algorithm::Lsh, Algorithm::LshApprox, Algorithm::AllPairs] {
-        let out = run_algorithm(algo, &data, &PipelineConfig::cosine(t));
+    for comp in [
+        lsh(VerifierKind::Exact),
+        lsh(VerifierKind::Mle),
+        Composition::new(GeneratorKind::AllPairs, VerifierKind::Exact),
+    ] {
+        let out = run(comp, &PipelineConfig::cosine(t));
         println!(
             "  {:<12} {:>8.2}s  recall {:>5.1}%",
-            algo.name(),
+            comp.paper_name().unwrap(),
             out.total_secs,
             100.0 * recall_against(&truth, &out.pairs)
         );

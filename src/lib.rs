@@ -22,11 +22,12 @@
 //! // A small corpus with planted near-duplicate clusters.
 //! let data = Preset::Rcv1.load(0.001, /* seed */ 7);
 //!
-//! // Build once: signatures + banding index. The composition (candidate
-//! // generator × verifier) is picked by algorithm name; here LSH banding
-//! // candidates verified by BayesLSH-Lite (prune, then exact-check).
+//! // Build once: signatures + banding index. The composition picks the
+//! // candidate generator × verifier; here LSH banding candidates verified
+//! // by BayesLSH-Lite (prune, then exact-check).
+//! let lite = Composition::new(GeneratorKind::LshBanding, VerifierKind::BayesLite);
 //! let mut searcher = Searcher::builder(PipelineConfig::cosine(0.7))
-//!     .algorithm(Algorithm::LshBayesLshLite)
+//!     .composition(lite)
 //!     .build(data)
 //!     .expect("valid config and corpus");
 //!
@@ -50,23 +51,34 @@
 //! assert!(hits.neighbors.iter().any(|&(id, _)| id == new_id));
 //! ```
 //!
-//! ### Migrating from `run_algorithm`
+//! ### One-shot joins and the paper's names
 //!
-//! The original entry point ran one algorithm end to end, rebuilding
-//! signatures and the index on every call. It still works, unchanged, as a
-//! thin shim over the composable layer:
+//! [`run_composition`](prelude::run_composition) runs one batch join end
+//! to end, hashing and bucketing the corpus afresh on every call; its
+//! output is bit-identical to a searcher's `all_pairs()`. The paper's
+//! eight algorithms are points of the generator × verifier grid, listed
+//! under the names its tables use by
+//! [`Composition::PAPER`](prelude::Composition::PAPER):
 //!
 //! ```
 //! use bayeslsh::prelude::*;
 //! let data = Preset::Rcv1.load(0.001, 7);
-//! let out = run_algorithm(Algorithm::LshBayesLsh, &data, &PipelineConfig::cosine(0.7));
+//! let cfg = PipelineConfig::cosine(0.7);
+//! let (name, comp) = Composition::PAPER[5];
+//! assert_eq!((name, comp.paper_name()), ("LSH+BayesLSH", Some(name)));
+//! let out = run_composition(comp, &data, &cfg).expect("valid config and corpus");
 //! assert!(out.total_secs >= 0.0);
+//!
+//! // Configs are checked before anything is hashed.
+//! let bad = PipelineConfig { epsilon: 0.0, ..cfg };
+//! assert!(matches!(
+//!     run_composition(comp, &data, &bad),
+//!     Err(SearchError::InvalidConfig { param: "epsilon", .. })
+//! ));
 //! ```
 //!
-//! For one batch run the two are equivalent (identical output, same
-//! seeds). Switch to [`Searcher`](prelude::Searcher) when you issue more
-//! than one operation against the same corpus; note the builder returns
-//! typed [`SearchError`](prelude::SearchError)s where the shim panics.
+//! Switch to [`Searcher`](prelude::Searcher) when you issue more than one
+//! operation against the same corpus: it hashes and indexes once.
 //!
 //! ## Hash families
 //!
@@ -120,11 +132,6 @@
 //! assert!(!top.neighbors.is_empty());
 //! ```
 //!
-//! The deprecated `PipelineConfig::measure` setter still compiles and maps
-//! onto `family` (`Measure::L2` gets the default bucket width); new code
-//! should set [`PipelineConfig::family`](prelude::PipelineConfig) or use
-//! the presets.
-//!
 //! ## The SPRT verifier
 //!
 //! Beyond the paper's eight named algorithms, a ninth composition swaps
@@ -175,9 +182,10 @@
 //! ```
 //! use bayeslsh::prelude::*;
 //! let data = Preset::Rcv1.load(0.001, 7);
+//! let lite = Composition::new(GeneratorKind::LshBanding, VerifierKind::BayesLite);
 //! let build = |p: Parallelism| {
 //!     let mut s = Searcher::builder(PipelineConfig::cosine(0.7))
-//!         .algorithm(Algorithm::LshBayesLshLite)
+//!         .composition(lite)
 //!         .parallelism(p)
 //!         .build(data.clone())
 //!         .unwrap();
@@ -209,7 +217,7 @@
 //! use bayeslsh::prelude::*;
 //! let data = Preset::Rcv1.load(0.001, 7);
 //! let mut built = Searcher::builder(PipelineConfig::cosine(0.7))
-//!     .algorithm(Algorithm::LshBayesLshLite)
+//!     .composition(Composition::new(GeneratorKind::LshBanding, VerifierKind::BayesLite))
 //!     .build(data)
 //!     .unwrap();
 //!
@@ -248,7 +256,7 @@
 //! use bayeslsh::prelude::*;
 //! let data = Preset::Rcv1.load(0.001, 7);
 //! let searcher = Searcher::builder(PipelineConfig::cosine(0.7))
-//!     .algorithm(Algorithm::LshBayesLshLite)
+//!     .composition(Composition::new(GeneratorKind::LshBanding, VerifierKind::BayesLite))
 //!     .build(data)
 //!     .unwrap();
 //! let q = searcher.data().vector(0).clone();
@@ -288,15 +296,16 @@
 //! use bayeslsh::prelude::*;
 //! let data = Preset::Rcv1.load(0.001, 7);
 //! let dir = std::env::temp_dir().join(format!("bayeslsh-doc-shards-{}", std::process::id()));
+//! let lite = Composition::new(GeneratorKind::LshBanding, VerifierKind::BayesLite);
 //! ShardBuilder::new(PipelineConfig::cosine(0.7))
-//!     .algorithm(Algorithm::LshBayesLshLite)
+//!     .composition(lite)
 //!     .shards(3)
 //!     .build_to_dir(&data, &dir)
 //!     .unwrap();
 //! let sharded = ShardedSearcher::open(&dir.join(MANIFEST_FILE)).unwrap();
 //!
 //! let mut single = Searcher::builder(PipelineConfig::cosine(0.7))
-//!     .algorithm(Algorithm::LshBayesLshLite)
+//!     .composition(lite)
 //!     .build(data.clone())
 //!     .unwrap();
 //! let q = data.vector(0);
@@ -340,13 +349,13 @@ pub mod prelude {
     pub use bayeslsh_core::sprt_verify;
     pub use bayeslsh_core::{
         bayes_verify, bayes_verify_lite, estimate_errors, mle_verify, recall_against,
-        run_algorithm, run_composition, Algorithm, BayesLshConfig, BbitJaccardModel,
-        CandidateGenerator, Composition, CompositionOutput, ConfigDiff, CosineModel, EngineStats,
-        Epoch, ErrorStats, FamilyModel, GeneratorKind, HashMode, JaccardModel, KnnParams, KnnStats,
-        LiteConfig, MinMatchTable, PipelineConfig, PosteriorModel, PriorChoice, QueryOutput,
-        QueryStats, RunOutput, SearchContext, SearchError, Searcher, SearcherBuilder,
-        ServingSearcher, SigPool, SnapshotError, SnapshotHeader, SprtConfig, SprtTable, TopKOutput,
-        Verifier, VerifierKind, SNAPSHOT_FORMAT_VERSION,
+        run_composition, BayesLshConfig, BbitJaccardModel, CandidateGenerator, Composition,
+        CompositionOutput, ConfigDiff, CosineModel, EngineStats, Epoch, ErrorStats, FamilyModel,
+        GeneratorKind, HashMode, JaccardModel, KnnParams, KnnStats, LiteConfig, MinMatchTable,
+        PipelineConfig, PosteriorModel, PriorChoice, QueryOutput, QueryStats, SearchContext,
+        SearchError, Searcher, SearcherBuilder, ServingSearcher, SigPool, SnapshotError,
+        SnapshotHeader, SprtConfig, SprtTable, TopKOutput, Verifier, VerifierKind,
+        SNAPSHOT_FORMAT_VERSION,
     };
     pub use bayeslsh_datasets::{generate, CorpusConfig, Preset};
     pub use bayeslsh_lsh::{

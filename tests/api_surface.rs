@@ -84,14 +84,15 @@ fn corpus_generation_via_facade() {
 fn searcher_surface() {
     let data = Preset::Rcv1.load(0.0006, 5);
     let dim = data.dim();
+    let lite = Composition::new(GeneratorKind::LshBanding, VerifierKind::BayesLite);
     let mut s: Searcher = Searcher::builder(PipelineConfig::cosine(0.7))
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(lite)
         .hash_mode(HashMode::Eager)
         .build(data)
         .expect("builds");
     assert!(!s.is_empty());
     assert_eq!(s.config().threshold, 0.7);
-    assert_eq!(s.composition(), Algorithm::LshBayesLshLite.composition());
+    assert_eq!(s.composition(), lite);
     assert_eq!(s.hash_mode(), HashMode::Eager);
     assert_eq!(s.data().dim(), dim);
     let plan: BandingPlan = s.banding_plan();
@@ -136,7 +137,10 @@ fn sharded_surface() {
     let data = Preset::Rcv1.load(0.0006, 5);
     let dir = std::env::temp_dir().join(format!("bayeslsh-api-shards-{}", std::process::id()));
     let manifest: ShardManifest = ShardBuilder::new(PipelineConfig::cosine(0.7))
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(Composition::new(
+            GeneratorKind::LshBanding,
+            VerifierKind::BayesLite,
+        ))
         .shards(2)
         .partition(PartitionFn::RoundRobin)
         .build_to_dir(&data, &dir)
@@ -163,8 +167,32 @@ fn sharded_surface() {
 }
 
 #[test]
+fn paper_names() {
+    let names: Vec<&str> = Composition::PAPER.iter().map(|&(name, _)| name).collect();
+    assert_eq!(
+        names,
+        [
+            "AllPairs",
+            "AP+BayesLSH",
+            "AP+BayesLSH-Lite",
+            "LSH",
+            "LSH Approx",
+            "LSH+BayesLSH",
+            "LSH+BayesLSH-Lite",
+            "PPJoin+"
+        ]
+    );
+    for (name, comp) in Composition::PAPER {
+        assert_eq!(comp.paper_name(), Some(name));
+    }
+    let sprt = Composition::new(GeneratorKind::LshBanding, VerifierKind::Sprt);
+    assert_eq!(sprt.paper_name(), None);
+}
+
+#[test]
 fn composition_surface() {
-    // Custom compositions instantiate as trait objects and run.
+    // Custom compositions instantiate as trait objects and run over a
+    // caller-held context.
     let comp = Composition::new(GeneratorKind::LshBanding, VerifierKind::Exact);
     let g: Box<dyn CandidateGenerator> = comp.generator.instantiate();
     let v: Box<dyn Verifier> = comp.verifier.instantiate();
@@ -179,25 +207,24 @@ fn composition_surface() {
         pool: &mut pool,
         index: None,
     };
-    let out = run_composition(comp, &mut ctx).expect("runs");
+    let candidates = g.generate(&mut ctx);
+    let (mut pairs, engine) = v.verify(&mut ctx, &candidates);
+    assert!(engine.is_none());
+    // The one-shot runner is the same pipeline, in canonical pair order.
+    let out: CompositionOutput = run_composition(comp, &data, &cfg).expect("runs");
     assert_eq!(out.composition, comp);
+    assert_eq!(out.candidates, candidates.len() as u64);
+    pairs.sort_by_key(|&(a, b, _)| (a, b));
+    assert_eq!(out.pairs, pairs);
+    // Exact similarities → estimation error at f32-normalization noise.
+    let err: ErrorStats = estimate_errors(&out.pairs, &data, Measure::Cosine, 0.05);
+    assert!(err.max_abs < 1e-6);
     // And the typed error type is part of the facade.
     let mut bad = cfg;
     bad.k = 0;
     let err: SearchError = bad.validate().unwrap_err();
     assert!(err.to_string().contains("invalid config"));
-}
-
-#[test]
-fn run_output_shape() {
-    let data = Preset::Rcv1.load(0.0006, 3);
-    let out: RunOutput = run_algorithm(Algorithm::AllPairs, &data, &PipelineConfig::cosine(0.8));
-    assert_eq!(out.algorithm, Algorithm::AllPairs);
-    assert!(out.total_secs >= 0.0);
-    assert!(out.engine.is_none());
-    let err: ErrorStats = estimate_errors(&out.pairs, &data, Measure::Cosine, 0.05);
-    // Exact similarities → estimation error at f32-normalization noise.
-    assert!(err.max_abs < 1e-6);
+    assert_eq!(run_composition(comp, &data, &bad).unwrap_err(), err);
 }
 
 #[test]

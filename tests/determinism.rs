@@ -2,6 +2,8 @@
 //! seed.
 
 use bayeslsh::prelude::*;
+use GeneratorKind::{AllPairs, LshBanding};
+use VerifierKind::{Bayes, Exact, Mle};
 
 fn sorted_pairs(mut v: Vec<(u32, u32, f64)>) -> Vec<(u32, u32, u64)> {
     v.sort_by_key(|a| (a.0, a.1));
@@ -11,18 +13,15 @@ fn sorted_pairs(mut v: Vec<(u32, u32, f64)>) -> Vec<(u32, u32, u64)> {
 #[test]
 fn pipelines_are_bit_reproducible_per_seed() {
     let data = Preset::Rcv1.load(0.001, 11);
-    for algo in [
-        Algorithm::LshBayesLsh,
-        Algorithm::LshApprox,
-        Algorithm::ApBayesLsh,
-    ] {
+    for (generator, verifier) in [(LshBanding, Bayes), (LshBanding, Mle), (AllPairs, Bayes)] {
         let cfg = PipelineConfig::cosine(0.6);
-        let a = run_algorithm(algo, &data, &cfg);
-        let b = run_algorithm(algo, &data, &cfg);
+        let a = run_composition(Composition::new(generator, verifier), &data, &cfg).unwrap();
+        let b = run_composition(Composition::new(generator, verifier), &data, &cfg).unwrap();
         assert_eq!(
             sorted_pairs(a.pairs),
             sorted_pairs(b.pairs),
-            "{algo}: same seed must give identical output"
+            "{}: same seed must give identical output",
+            a.composition
         );
     }
 }
@@ -36,13 +35,13 @@ fn different_seeds_change_randomized_output_not_exact_output() {
     cfg2.seed = 2;
 
     // Exact algorithms do not depend on the seed at all.
-    let e1 = run_algorithm(Algorithm::AllPairs, &data, &cfg1);
-    let e2 = run_algorithm(Algorithm::AllPairs, &data, &cfg2);
+    let e1 = run_composition(Composition::new(AllPairs, Exact), &data, &cfg1).unwrap();
+    let e2 = run_composition(Composition::new(AllPairs, Exact), &data, &cfg2).unwrap();
     assert_eq!(sorted_pairs(e1.pairs), sorted_pairs(e2.pairs));
 
     // Randomized ones see different hash families (estimates differ).
-    let r1 = run_algorithm(Algorithm::LshBayesLsh, &data, &cfg1);
-    let r2 = run_algorithm(Algorithm::LshBayesLsh, &data, &cfg2);
+    let r1 = run_composition(Composition::new(LshBanding, Bayes), &data, &cfg1).unwrap();
+    let r2 = run_composition(Composition::new(LshBanding, Bayes), &data, &cfg2).unwrap();
     assert_ne!(
         sorted_pairs(r1.pairs),
         sorted_pairs(r2.pairs),

@@ -2,6 +2,18 @@
 //! verification, on every preset family.
 
 use bayeslsh::prelude::*;
+use GeneratorKind::{AllPairs, LshBanding, PpjoinPlus};
+use VerifierKind::{Bayes, BayesLite, Exact};
+
+/// Recall floor: AllPairs and PPJoin+ are exact; plain LSH is not (its
+/// banding misses an expected ε-fraction of true pairs).
+fn recall_floor(comp: Composition) -> f64 {
+    if comp.verifier == Exact && comp.generator != LshBanding {
+        1.0
+    } else {
+        0.85
+    }
+}
 
 /// A corpus small enough for exhaustive ground truth but structured enough
 /// for non-trivial result sets.
@@ -15,14 +27,12 @@ fn every_algorithm_runs_on_weighted_cosine() {
     let cfg = PipelineConfig::cosine(0.7);
     let truth = ground_truth(&data, Measure::Cosine, 0.7);
     assert!(!truth.is_empty());
-    for algo in Algorithm::ALL {
-        if !algo.supports_weighted() {
+    for (name, comp) in Composition::PAPER {
+        if comp.requires_binary(Measure::Cosine) {
             continue;
         }
-        let out = run_algorithm(algo, &data, &cfg);
-        let recall = recall_against(&truth, &out.pairs);
-        let floor = if algo.is_exact() { 1.0 } else { 0.85 };
-        assert!(recall >= floor, "{algo}: recall {recall}");
+        let recall = recall_against(&truth, &run_composition(comp, &data, &cfg).unwrap().pairs);
+        assert!(recall >= recall_floor(comp), "{name}: recall {recall}");
     }
 }
 
@@ -32,11 +42,9 @@ fn every_algorithm_runs_on_binary_jaccard() {
     let cfg = PipelineConfig::jaccard(0.4);
     let truth = ground_truth(&data, Measure::Jaccard, 0.4);
     assert!(!truth.is_empty());
-    for algo in Algorithm::ALL {
-        let out = run_algorithm(algo, &data, &cfg);
-        let recall = recall_against(&truth, &out.pairs);
-        let floor = if algo.is_exact() { 1.0 } else { 0.85 };
-        assert!(recall >= floor, "{algo}: recall {recall}");
+    for (name, comp) in Composition::PAPER {
+        let recall = recall_against(&truth, &run_composition(comp, &data, &cfg).unwrap().pairs);
+        assert!(recall >= recall_floor(comp), "{name}: recall {recall}");
     }
 }
 
@@ -44,8 +52,8 @@ fn every_algorithm_runs_on_binary_jaccard() {
 fn exact_algorithms_agree_on_binary_cosine() {
     let data = Preset::WikiWords500K.load_binary(0.0008, 3);
     let cfg = PipelineConfig::cosine(0.6);
-    let ap = run_algorithm(Algorithm::AllPairs, &data, &cfg);
-    let pp = run_algorithm(Algorithm::PpjoinPlus, &data, &cfg);
+    let ap = run_composition(Composition::new(AllPairs, Exact), &data, &cfg).unwrap();
+    let pp = run_composition(Composition::new(PpjoinPlus, Exact), &data, &cfg).unwrap();
     let key = |v: &[(u32, u32, f64)]| {
         let mut k: Vec<(u32, u32)> = v.iter().map(|&(a, b, _)| (a, b)).collect();
         k.sort_unstable();
@@ -59,17 +67,18 @@ fn lite_never_reports_false_positives() {
     let data = weighted_corpus(4);
     let t = 0.6;
     let cfg = PipelineConfig::cosine(t);
-    for algo in [Algorithm::ApBayesLshLite, Algorithm::LshBayesLshLite] {
-        let out = run_algorithm(algo, &data, &cfg);
+    for generator in [AllPairs, LshBanding] {
+        let comp = Composition::new(generator, BayesLite);
+        let out = run_composition(comp, &data, &cfg).unwrap();
         for &(a, b, s) in &out.pairs {
             let exact = cosine(data.vector(a), data.vector(b));
             assert!(
                 exact >= t,
-                "{algo}: ({a},{b}) reported at {s} but exact is {exact}"
+                "{comp}: ({a},{b}) reported at {s} but exact is {exact}"
             );
             assert!(
                 (exact - s).abs() < 1e-9,
-                "{algo}: Lite must report exact similarities"
+                "{comp}: Lite must report exact similarities"
             );
         }
     }
@@ -79,7 +88,7 @@ fn lite_never_reports_false_positives() {
 fn full_bayeslsh_respects_the_accuracy_contract() {
     let data = weighted_corpus(5);
     let cfg = PipelineConfig::cosine(0.6);
-    let out = run_algorithm(Algorithm::ApBayesLsh, &data, &cfg);
+    let out = run_composition(Composition::new(AllPairs, Bayes), &data, &cfg).unwrap();
     assert!(out.pairs.len() > 20);
     let err = estimate_errors(&out.pairs, &data, Measure::Cosine, cfg.delta);
     // Pr[|error| >= delta] < gamma, with slack for sampling noise.
@@ -95,8 +104,8 @@ fn full_bayeslsh_respects_the_accuracy_contract() {
 fn engine_stats_are_consistent_across_pipelines() {
     let data = weighted_corpus(6);
     let cfg = PipelineConfig::cosine(0.7);
-    for algo in [Algorithm::ApBayesLsh, Algorithm::LshBayesLsh] {
-        let out = run_algorithm(algo, &data, &cfg);
+    for generator in [AllPairs, LshBanding] {
+        let out = run_composition(Composition::new(generator, Bayes), &data, &cfg).unwrap();
         let stats = out.engine.expect("bayes pipelines report stats");
         assert_eq!(stats.input_pairs, out.candidates);
         assert_eq!(stats.pruned + stats.accepted, stats.input_pairs);
@@ -113,7 +122,7 @@ fn jaccard_lite_on_graph_preset() {
     let t = 0.5;
     let cfg = PipelineConfig::jaccard(t);
     let truth = ground_truth(&data, Measure::Jaccard, t);
-    let out = run_algorithm(Algorithm::ApBayesLshLite, &data, &cfg);
+    let out = run_composition(Composition::new(AllPairs, BayesLite), &data, &cfg).unwrap();
     assert!(recall_against(&truth, &out.pairs) >= 0.9);
     for &(a, b, s) in &out.pairs {
         assert!((jaccard(data.vector(a), data.vector(b)) - s).abs() < 1e-12);

@@ -7,6 +7,8 @@
 //! Guarantee 2 (accuracy): `Pr[|ŝ − s| >= δ] < γ` for emitted estimates.
 
 use bayeslsh::prelude::*;
+use GeneratorKind::{AllPairs, LshBanding};
+use VerifierKind::{Bayes, Mle};
 
 fn corpus(seed: u64) -> Dataset {
     Preset::WikiWords100K.load(0.003, seed)
@@ -24,7 +26,7 @@ fn recall_tracks_epsilon() {
     for eps in [0.01, 0.09, 0.30] {
         let mut cfg = PipelineConfig::cosine(t);
         cfg.epsilon = eps;
-        let out = run_algorithm(Algorithm::ApBayesLsh, &data, &cfg);
+        let out = run_composition(Composition::new(AllPairs, Bayes), &data, &cfg).unwrap();
         let r = recall_against(&truth, &out.pairs);
         // False-negative rate below eps plus sampling slack.
         assert!(r >= 1.0 - eps - 0.05, "eps={eps}: recall {r}");
@@ -42,7 +44,7 @@ fn estimation_error_tracks_delta() {
     for delta in [0.01, 0.05, 0.09] {
         let mut cfg = PipelineConfig::cosine(t);
         cfg.delta = delta;
-        let out = run_algorithm(Algorithm::ApBayesLsh, &data, &cfg);
+        let out = run_composition(Composition::new(AllPairs, Bayes), &data, &cfg).unwrap();
         let err = estimate_errors(&out.pairs, &data, Measure::Cosine, delta);
         // Guarantee 2 holds whenever the hash cap was not the stopping
         // reason. At delta = 0.01 concentration would need tens of
@@ -74,7 +76,7 @@ fn gamma_bounds_the_fraction_of_bad_estimates() {
     for gamma in [0.03, 0.09] {
         let mut cfg = PipelineConfig::cosine(t);
         cfg.gamma = gamma;
-        let out = run_algorithm(Algorithm::ApBayesLsh, &data, &cfg);
+        let out = run_composition(Composition::new(AllPairs, Bayes), &data, &cfg).unwrap();
         let err = estimate_errors(&out.pairs, &data, Measure::Cosine, cfg.delta);
         assert!(
             err.frac_above <= gamma + 0.07,
@@ -96,8 +98,8 @@ fn bayeslsh_estimates_beat_fixed_hash_mle_at_low_similarities() {
     // Deliberately starve the fixed-n estimator the way a practitioner
     // tuning for speed would (the paper's 2048 default is generous).
     cfg.approx_hashes = 256;
-    let approx = run_algorithm(Algorithm::LshApprox, &data, &cfg);
-    let bayes = run_algorithm(Algorithm::LshBayesLsh, &data, &cfg);
+    let approx = run_composition(Composition::new(LshBanding, Mle), &data, &cfg).unwrap();
+    let bayes = run_composition(Composition::new(LshBanding, Bayes), &data, &cfg).unwrap();
     let e_approx = estimate_errors(&approx.pairs, &data, Measure::Cosine, 0.05);
     let e_bayes = estimate_errors(&bayes.pairs, &data, Measure::Cosine, 0.05);
     assert!(
@@ -114,7 +116,7 @@ fn pruning_dominates_verification_cost() {
     // costs only a few chunks of hash comparisons.
     let data = corpus(25);
     let cfg = PipelineConfig::cosine(0.7);
-    let out = run_algorithm(Algorithm::LshBayesLsh, &data, &cfg);
+    let out = run_composition(Composition::new(LshBanding, Bayes), &data, &cfg).unwrap();
     let stats = out.engine.unwrap();
     assert!(stats.pruned > 0);
     let avg_hashes_per_pair = stats.hash_comparisons as f64 / stats.input_pairs as f64;

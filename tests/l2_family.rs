@@ -214,7 +214,10 @@ fn ppjoin_rejects_the_new_measures_with_a_typed_error() {
     let data = l2_corpus(704);
     for cfg in [PipelineConfig::l2(0.5, 4.0), PipelineConfig::mips(0.6)] {
         let err = Searcher::builder(cfg)
-            .algorithm(Algorithm::PpjoinPlus)
+            .composition(Composition::new(
+                GeneratorKind::PpjoinPlus,
+                VerifierKind::Exact,
+            ))
             .build(data.clone())
             .unwrap_err();
         assert!(
@@ -284,7 +287,10 @@ fn mips_reduction_orders_neighbors_by_inner_product() {
     let transform = MipsTransform::fit(&raw);
     let augmented = transform.transform_corpus(&raw);
     let searcher = Searcher::builder(PipelineConfig::mips(0.3))
-        .algorithm(Algorithm::Lsh)
+        .composition(Composition::new(
+            GeneratorKind::LshBanding,
+            VerifierKind::Exact,
+        ))
         .build(augmented)
         .unwrap();
 

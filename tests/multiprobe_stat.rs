@@ -70,7 +70,10 @@ fn pooled_recall(make_cfg: impl Fn() -> PipelineConfig, probes_per_band: u64) ->
         cfg.seed = 42 + s; // a fresh hash family per trial
         let bands = cfg.banding_plan().params.l as u64;
         let searcher = Searcher::builder(cfg)
-            .algorithm(Algorithm::Lsh)
+            .composition(Composition::new(
+                GeneratorKind::LshBanding,
+                VerifierKind::Exact,
+            ))
             .build(data.clone())
             .unwrap();
         for qid in 0..data.len() as u32 {
@@ -167,12 +170,18 @@ fn single_probe_multi_probe_outputs_agree_on_found_neighbors() {
     let mut cfg = PipelineConfig::cosine(THRESHOLD);
     cfg.parallelism = Parallelism::serial();
     let single = Searcher::builder(cfg)
-        .algorithm(Algorithm::Lsh)
+        .composition(Composition::new(
+            GeneratorKind::LshBanding,
+            VerifierKind::Exact,
+        ))
         .build(data.clone())
         .unwrap();
     cfg.probes = 4;
     let multi = Searcher::builder(cfg)
-        .algorithm(Algorithm::Lsh)
+        .composition(Composition::new(
+            GeneratorKind::LshBanding,
+            VerifierKind::Exact,
+        ))
         .build(data.clone())
         .unwrap();
     for qid in (0..data.len() as u32).step_by(5) {

@@ -27,9 +27,6 @@ use std::collections::HashSet;
 use bayeslsh::prelude::*;
 use proptest::prelude::*;
 
-mod support;
-use support::run_comp;
-
 const N_SEEDS: u64 = 20;
 
 #[derive(Default)]
@@ -60,11 +57,14 @@ fn pool_over_seeds(
         // LSH × exact keeps every candidate that is a true pair, so its
         // output *is* the candidate set restricted to the truth — the
         // measured candidate-miss events are exactly the banding misses.
-        let lsh = pair_keys(&run_algorithm(Algorithm::Lsh, &data, &cfg).pairs);
-        let bayes = pair_keys(&run_algorithm(Algorithm::LshBayesLsh, &data, &cfg).pairs);
-        let lite = pair_keys(&run_algorithm(Algorithm::LshBayesLshLite, &data, &cfg).pairs);
-        let sprt_comp = Composition::new(GeneratorKind::LshBanding, VerifierKind::Sprt);
-        let sprt = pair_keys(&run_comp(sprt_comp, &data, &cfg).pairs);
+        let lsh_keys = |verifier| {
+            let comp = Composition::new(GeneratorKind::LshBanding, verifier);
+            pair_keys(&run_composition(comp, &data, &cfg).unwrap().pairs)
+        };
+        let lsh = lsh_keys(VerifierKind::Exact);
+        let bayes = lsh_keys(VerifierKind::Bayes);
+        let lite = lsh_keys(VerifierKind::BayesLite);
+        let sprt = lsh_keys(VerifierKind::Sprt);
         for &(a, b, _) in &gt {
             pooled.truth += 1;
             if !lsh.contains(&(a, b)) {

@@ -133,21 +133,22 @@ fn jaccard_compositions_are_thread_count_invariant() {
 }
 
 #[test]
-fn legacy_shim_is_thread_count_invariant_too() {
-    // `run_algorithm` (transient pools, no standing index) goes through
+fn one_shot_runs_are_thread_count_invariant_too() {
+    // `run_composition` (transient pools, no standing index) goes through
     // the same parallel layer; its output must not depend on the budget.
     let data = corpus(503);
-    for algo in [Algorithm::Lsh, Algorithm::LshApprox, Algorithm::LshBayesLsh] {
+    for verifier in [VerifierKind::Exact, VerifierKind::Mle, VerifierKind::Bayes] {
+        let comp = Composition::new(GeneratorKind::LshBanding, verifier);
         let mut cfg = PipelineConfig::cosine(0.7);
         cfg.parallelism = Parallelism::serial();
-        let serial = run_algorithm(algo, &data, &cfg);
+        let serial = run_composition(comp, &data, &cfg).unwrap();
         for threads in THREADS {
             cfg.parallelism = Parallelism::threads(threads);
-            let par = run_algorithm(algo, &data, &cfg);
+            let par = run_composition(comp, &data, &cfg).unwrap();
             assert_eq!(
                 bits(&serial.pairs),
                 bits(&par.pairs),
-                "{algo} threads={threads}"
+                "{comp} threads={threads}"
             );
             assert_eq!(serial.candidates, par.candidates);
         }
@@ -157,13 +158,14 @@ fn legacy_shim_is_thread_count_invariant_too() {
 #[test]
 fn point_queries_are_thread_count_invariant() {
     let data = corpus(504);
-    for comp in [
-        Algorithm::Lsh.composition(),
-        Algorithm::LshApprox.composition(),
-        Algorithm::LshBayesLsh.composition(),
-        Algorithm::LshBayesLshLite.composition(),
-        Composition::new(GeneratorKind::LshBanding, VerifierKind::Sprt),
+    for verifier in [
+        VerifierKind::Exact,
+        VerifierKind::Mle,
+        VerifierKind::Bayes,
+        VerifierKind::BayesLite,
+        VerifierKind::Sprt,
     ] {
+        let comp = Composition::new(GeneratorKind::LshBanding, verifier);
         let mut cfg = PipelineConfig::cosine(0.7);
         cfg.parallelism = Parallelism::serial();
         let serial = Searcher::builder(cfg)

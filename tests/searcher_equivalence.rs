@@ -1,5 +1,5 @@
-//! API-equivalence guarantees between the legacy `run_algorithm` shim and
-//! the build-once/query-many `Searcher`: for every `Algorithm` variant the
+//! API-equivalence guarantees between the one-shot `run_composition` and
+//! the build-once/query-many `Searcher`: for every named composition the
 //! two paths must produce identical pair sets (same seeds, same hash
 //! streams, same candidate order — so even the Bayesian *estimates* agree
 //! bit for bit), and a standing searcher must answer queries without
@@ -8,7 +8,10 @@
 use bayeslsh::prelude::*;
 
 mod support;
-use support::{algorithm_for, all_compositions, run_comp, supports_weighted};
+use support::{all_compositions, supports_weighted};
+
+const LSH_BAYES: Composition = Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes);
+const LSH_LITE: Composition = Composition::new(GeneratorKind::LshBanding, VerifierKind::BayesLite);
 
 /// Clustered corpus with planted near-duplicates (weighted vectors).
 fn corpus(seed: u64) -> Dataset {
@@ -46,15 +49,6 @@ fn sorted(mut pairs: Vec<(u32, u32, f64)>) -> Vec<(u32, u32, u64)> {
         .collect()
 }
 
-/// One-shot pairs for a composition: the legacy `run_algorithm` shim for
-/// the named eight, the composable runner for off-grid points (SPRT).
-fn one_shot_pairs(comp: Composition, data: &Dataset, cfg: &PipelineConfig) -> Vec<(u32, u32, f64)> {
-    match algorithm_for(comp) {
-        Some(algo) => run_algorithm(algo, data, cfg).pairs,
-        None => run_comp(comp, data, cfg).pairs,
-    }
-}
-
 #[test]
 fn every_cosine_composition_matches_its_searcher() {
     let data = corpus(301);
@@ -63,14 +57,14 @@ fn every_cosine_composition_matches_its_searcher() {
         if !supports_weighted(comp) {
             continue; // PPJoin+ is covered by the jaccard test below.
         }
-        let legacy = one_shot_pairs(comp, &data, &cfg);
+        let one_shot = run_composition(comp, &data, &cfg).unwrap().pairs;
         let searcher = Searcher::builder(cfg)
             .composition(comp)
             .build(data.clone())
             .unwrap();
         let composed = searcher.all_pairs().unwrap();
         assert_eq!(
-            sorted(legacy),
+            sorted(one_shot),
             sorted(composed.pairs),
             "{comp}: one-shot and Searcher must produce identical results"
         );
@@ -83,66 +77,16 @@ fn every_jaccard_composition_matches_its_searcher() {
     let data = corpus(302).binarized();
     let cfg = PipelineConfig::jaccard(0.5);
     for comp in all_compositions() {
-        let legacy = one_shot_pairs(comp, &data, &cfg);
+        let one_shot = run_composition(comp, &data, &cfg).unwrap().pairs;
         let searcher = Searcher::builder(cfg)
             .composition(comp)
             .build(data.clone())
             .unwrap();
         let composed = searcher.all_pairs().unwrap();
         assert_eq!(
-            sorted(legacy),
+            sorted(one_shot),
             sorted(composed.pairs),
             "{comp}: one-shot and Searcher must produce identical results"
-        );
-    }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_measure_shim_matches_the_family_config_path() {
-    // The migration contract for the `measure` → `family` API redesign:
-    // a config built through the deprecated `PipelineConfig::measure` shim
-    // is the *same config* as one whose `family` field was set directly,
-    // so every composition produces bit-identical output through both.
-    let data = corpus(309).binarized();
-    for (shimmed, direct) in [
-        (
-            PipelineConfig::jaccard(0.5).measure(Measure::Jaccard),
-            PipelineConfig::jaccard(0.5),
-        ),
-        (PipelineConfig::jaccard(0.5).measure(Measure::Cosine), {
-            let mut cfg = PipelineConfig::jaccard(0.5);
-            cfg.family = FamilyConfig::Cosine;
-            cfg
-        }),
-        (PipelineConfig::jaccard(0.5).measure(Measure::L2), {
-            let mut cfg = PipelineConfig::jaccard(0.5);
-            cfg.family = FamilyConfig::for_measure(Measure::L2);
-            cfg
-        }),
-    ] {
-        assert_eq!(shimmed, direct);
-    }
-    // And through the engines: all nine compositions, old path vs new.
-    let old_cfg = PipelineConfig::jaccard(0.5).measure(Measure::Jaccard);
-    let new_cfg = PipelineConfig::jaccard(0.5);
-    for comp in all_compositions() {
-        let old = Searcher::builder(old_cfg)
-            .composition(comp)
-            .build(data.clone())
-            .unwrap()
-            .all_pairs()
-            .unwrap();
-        let new = Searcher::builder(new_cfg)
-            .composition(comp)
-            .build(data.clone())
-            .unwrap()
-            .all_pairs()
-            .unwrap();
-        assert_eq!(
-            sorted(old.pairs),
-            sorted(new.pairs),
-            "{comp}: deprecated shim and family config must be bit-identical"
         );
     }
 }
@@ -151,14 +95,14 @@ fn deprecated_measure_shim_matches_the_family_config_path() {
 fn lazy_hash_mode_is_equivalent_too() {
     let data = corpus(303);
     let cfg = PipelineConfig::cosine(0.7);
-    let legacy = run_algorithm(Algorithm::LshBayesLsh, &data, &cfg);
+    let one_shot = run_composition(LSH_BAYES, &data, &cfg).unwrap();
     let searcher = Searcher::builder(cfg)
-        .algorithm(Algorithm::LshBayesLsh)
+        .composition(LSH_BAYES)
         .hash_mode(HashMode::Lazy)
         .build(data)
         .unwrap();
     let composed = searcher.all_pairs().unwrap();
-    assert_eq!(sorted(legacy.pairs), sorted(composed.pairs));
+    assert_eq!(sorted(one_shot.pairs), sorted(composed.pairs));
 }
 
 #[test]
@@ -167,7 +111,7 @@ fn queries_do_not_rehash_the_corpus() {
     // corpus hashing; N point queries add nothing.
     let data = corpus(304);
     let searcher = Searcher::builder(PipelineConfig::cosine(0.7))
-        .algorithm(Algorithm::LshBayesLsh)
+        .composition(LSH_BAYES)
         .build(data)
         .unwrap();
     let built = searcher.hash_count();
@@ -195,7 +139,7 @@ fn insert_then_query_finds_planted_neighbors() {
     let data = corpus(305);
     let n0 = data.len();
     let mut searcher = Searcher::builder(PipelineConfig::cosine(0.7))
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LSH_LITE)
         .build(data)
         .unwrap();
 
@@ -229,7 +173,7 @@ fn insert_then_query_finds_planted_neighbors() {
 fn jaccard_insert_and_query_roundtrip() {
     let data = corpus(306).binarized();
     let mut searcher = Searcher::builder(PipelineConfig::jaccard(0.5))
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LSH_LITE)
         .build(data)
         .unwrap();
     let v = searcher.data().vector(5).clone();
@@ -260,7 +204,10 @@ fn searcher_builder_reports_typed_errors() {
     }
     // Non-binary data under a binary-only composition.
     let err = Searcher::builder(PipelineConfig::cosine(0.7))
-        .algorithm(Algorithm::PpjoinPlus)
+        .composition(Composition::new(
+            GeneratorKind::PpjoinPlus,
+            VerifierKind::Exact,
+        ))
         .build(corpus(307))
         .unwrap_err();
     assert_eq!(

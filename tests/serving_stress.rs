@@ -76,9 +76,9 @@ fn write_log(extra: &Dataset) -> Vec<Vec<WriteOp>> {
     batches
 }
 
-fn build(algo: Algorithm, data: Dataset) -> Searcher {
+fn build(comp: Composition, data: Dataset) -> Searcher {
     Searcher::builder(PipelineConfig::cosine(0.5))
-        .algorithm(algo)
+        .composition(comp)
         .parallelism(Parallelism::serial())
         .build(data)
         .unwrap()
@@ -128,11 +128,11 @@ fn query_bits(s: &Searcher, probes: &[SparseVector]) -> ResultBits {
         .collect()
 }
 
-fn stress(algo: Algorithm) {
+fn stress(comp: Composition) {
     let initial = corpus(501);
     let probes: Vec<SparseVector> = (0..4).map(|i| initial.vector(i * 7).clone()).collect();
     let log = write_log(&corpus(777));
-    let serving = Arc::new(ServingSearcher::new(build(algo, initial.clone())));
+    let serving = Arc::new(ServingSearcher::new(build(comp, initial.clone())));
     let stop = Arc::new(AtomicBool::new(false));
 
     // Concurrent phase: readers record (applied, result bits) while the
@@ -194,12 +194,12 @@ fn stress(algo: Algorithm) {
     for (applied, bits) in observations {
         assert!(
             boundaries.contains(&applied),
-            "{algo}: reader saw a torn epoch at applied={applied} (boundaries {boundaries:?})"
+            "{comp}: reader saw a torn epoch at applied={applied} (boundaries {boundaries:?})"
         );
         if let Some(prev) = by_prefix.get(&applied) {
             assert_eq!(
                 prev, &bits,
-                "{algo}: two reads of the same epoch (applied={applied}) disagreed"
+                "{comp}: two reads of the same epoch (applied={applied}) disagreed"
             );
         } else {
             by_prefix.insert(applied, bits);
@@ -207,32 +207,38 @@ fn stress(algo: Algorithm) {
     }
     assert!(
         by_prefix.len() > 1,
-        "{algo}: readers only ever saw one epoch — no concurrency exercised"
+        "{comp}: readers only ever saw one epoch — no concurrency exercised"
     );
     assert!(
         by_prefix.contains_key(boundaries.last().unwrap()),
-        "{algo}: the terminal epoch was never observed"
+        "{comp}: the terminal epoch was never observed"
     );
 
     // Serial replay: every observed epoch must be bit-identical to a
     // single-threaded searcher that applied exactly that prefix.
     for (&applied, bits) in &by_prefix {
-        let mut serial = build(algo, initial.clone());
+        let mut serial = build(comp, initial.clone());
         apply_serial(&mut serial, &flat[..applied as usize]);
         assert_eq!(
             &query_bits(&serial, &probes),
             bits,
-            "{algo}: epoch applied={applied} diverged from its serial prefix"
+            "{comp}: epoch applied={applied} diverged from its serial prefix"
         );
     }
 }
 
 #[test]
 fn bayeslsh_epochs_match_serial_prefixes_under_stress() {
-    stress(Algorithm::LshBayesLsh);
+    stress(Composition::new(
+        GeneratorKind::LshBanding,
+        VerifierKind::Bayes,
+    ));
 }
 
 #[test]
 fn bayeslsh_lite_epochs_match_serial_prefixes_under_stress() {
-    stress(Algorithm::LshBayesLshLite);
+    stress(Composition::new(
+        GeneratorKind::LshBanding,
+        VerifierKind::BayesLite,
+    ));
 }

@@ -18,6 +18,9 @@ use proptest::prelude::*;
 mod support;
 use support::{all_compositions, supports_weighted};
 
+/// LSH banding × BayesLSH-Lite.
+const LITE: Composition = Composition::new(GeneratorKind::LshBanding, VerifierKind::BayesLite);
+
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 const THREAD_BUDGETS: [u32; 2] = [1, 4];
 
@@ -187,7 +190,7 @@ fn insert_into_shard_then_query_stays_equivalent() {
     let dir = scratch("insert");
     let par = Parallelism::threads(4);
     ShardBuilder::new(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .shards(3)
         .partition(PartitionFn::Hashed { seed: 5 })
         .parallelism(par)
@@ -196,7 +199,7 @@ fn insert_into_shard_then_query_stays_equivalent() {
     let sharded =
         ShardedSearcher::open_with(&dir.join(MANIFEST_FILE), par, LoadPolicy::Eager).unwrap();
     let mut single = Searcher::builder(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .parallelism(par)
         .build(data.clone())
         .unwrap();
@@ -247,7 +250,7 @@ fn remove_and_compact_stay_equivalent_and_roundtrip_snapshots() {
     let dir = scratch("remove");
     let par = Parallelism::threads(2);
     ShardBuilder::new(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .shards(3)
         .partition(PartitionFn::Hashed { seed: 5 })
         .parallelism(par)
@@ -256,7 +259,7 @@ fn remove_and_compact_stay_equivalent_and_roundtrip_snapshots() {
     let sharded =
         ShardedSearcher::open_with(&dir.join(MANIFEST_FILE), par, LoadPolicy::Eager).unwrap();
     let mut single = Searcher::builder(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .parallelism(par)
         .build(data.clone())
         .unwrap();
@@ -349,7 +352,7 @@ fn reload_mid_sweep_swaps_generations_atomically() {
     let par = Parallelism::threads(2);
     let build = |data: &Dataset, shards: usize| {
         ShardBuilder::new(cfg)
-            .algorithm(Algorithm::LshBayesLshLite)
+            .composition(LITE)
             .shards(shards)
             .parallelism(par)
             .build_to_dir(data, &dir)
@@ -359,7 +362,7 @@ fn reload_mid_sweep_swaps_generations_atomically() {
     let sharded =
         ShardedSearcher::open_with(&dir.join(MANIFEST_FILE), par, LoadPolicy::Eager).unwrap();
     let old_single = Searcher::builder(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .parallelism(par)
         .build(old_data.clone())
         .unwrap();
@@ -390,7 +393,7 @@ fn reload_mid_sweep_swaps_generations_atomically() {
 
     // Second half of the sweep: new generation, still bit-identical.
     let new_single = Searcher::builder(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .parallelism(par)
         .build(new_data.clone())
         .unwrap();
@@ -419,7 +422,7 @@ fn failed_reload_keeps_the_current_generation_serving() {
     let dir = scratch("badreload");
     let par = Parallelism::threads(2);
     ShardBuilder::new(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .shards(2)
         .parallelism(par)
         .build_to_dir(&data, &dir)
@@ -427,7 +430,7 @@ fn failed_reload_keeps_the_current_generation_serving() {
     let manifest_path = dir.join(MANIFEST_FILE);
     let sharded = ShardedSearcher::open_with(&manifest_path, par, LoadPolicy::Eager).unwrap();
     let single = Searcher::builder(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .parallelism(par)
         .build(data.clone())
         .unwrap();
@@ -461,7 +464,7 @@ fn lazy_load_policy_is_equivalent_and_lazy() {
     let data = corpus(407);
     let dir = scratch("lazy");
     ShardBuilder::new(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .shards(4)
         .build_to_dir(&data, &dir)
         .unwrap();
@@ -500,7 +503,7 @@ fn pristine() -> &'static PristineSet {
     SET.get_or_init(|| {
         let dir = scratch("pristine");
         let manifest = ShardBuilder::new(PipelineConfig::cosine(0.7))
-            .algorithm(Algorithm::LshBayesLshLite)
+            .composition(LITE)
             .shards(3)
             .parallelism(Parallelism::serial())
             .build_to_dir(&corpus(408), &dir)
@@ -631,7 +634,7 @@ fn foreign_shard_is_caught() {
     let mut cfg = PipelineConfig::cosine(0.7);
     cfg.seed = 999;
     ShardBuilder::new(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .shards(3)
         .parallelism(Parallelism::serial())
         .build_to_dir(&corpus(408), &dir)

@@ -18,6 +18,9 @@ use std::path::PathBuf;
 
 use bayeslsh::prelude::*;
 
+/// LSH banding × BayesLSH-Lite.
+const LITE: Composition = Composition::new(GeneratorKind::LshBanding, VerifierKind::BayesLite);
+
 const FIXTURE_SHARDS: usize = 3;
 const FIXTURE_PARTITION: PartitionFn = PartitionFn::Hashed { seed: 9 };
 
@@ -57,7 +60,7 @@ fn fixture_corpus() -> Dataset {
 
 fn fixture_builder() -> ShardBuilder {
     ShardBuilder::new(PipelineConfig::cosine(0.7))
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .shards(FIXTURE_SHARDS)
         .partition(FIXTURE_PARTITION)
         .parallelism(Parallelism::serial())
@@ -82,7 +85,7 @@ fn golden_v1_shard_set_opens_and_matches_a_fresh_build() {
          on purpose, bump the format version and regenerate the fixture",
             );
     let fresh = Searcher::builder(PipelineConfig::cosine(0.7))
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .parallelism(Parallelism::serial())
         .build(fixture_corpus())
         .unwrap();

@@ -16,6 +16,9 @@ use std::path::PathBuf;
 
 use bayeslsh::prelude::*;
 
+/// LSH banding × BayesLSH-Lite.
+const LITE: Composition = Composition::new(GeneratorKind::LshBanding, VerifierKind::BayesLite);
+
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
@@ -52,7 +55,7 @@ fn fixture_corpus() -> Dataset {
 
 fn fixture_searcher() -> Searcher {
     Searcher::builder(PipelineConfig::cosine(0.7))
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .parallelism(Parallelism::serial())
         .build(fixture_corpus())
         .unwrap()
@@ -69,7 +72,7 @@ fn golden_v1_fixture_loads_and_matches_a_fresh_build() {
     let header = SnapshotHeader::read(&bytes[..]).unwrap();
     assert_eq!(header.format_version, SNAPSHOT_FORMAT_VERSION);
     assert_eq!(header.measure, Measure::Cosine);
-    assert_eq!(header.composition, Algorithm::LshBayesLshLite.composition());
+    assert_eq!(header.composition, LITE);
     assert_eq!(header.n_vectors, 16);
     assert_eq!(header.threads, 1);
 
@@ -151,7 +154,7 @@ fn legacy_jaccard_snapshot_still_loads() {
     // exactly as the pre-multi-probe v1 writer produced it still loads.
     let data = fixture_corpus().binarized();
     let built = Searcher::builder(PipelineConfig::jaccard(0.5))
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(LITE)
         .parallelism(Parallelism::serial())
         .build(data)
         .unwrap();

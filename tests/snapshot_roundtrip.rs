@@ -158,7 +158,10 @@ fn lazy_mode_with_uneven_signature_depths_roundtrips() {
     let cfg = PipelineConfig::cosine(0.7);
     let build = || {
         Searcher::builder(cfg)
-            .algorithm(Algorithm::LshBayesLsh)
+            .composition(Composition::new(
+                GeneratorKind::LshBanding,
+                VerifierKind::Bayes,
+            ))
             .hash_mode(HashMode::Lazy)
             .parallelism(Parallelism::serial())
             .build(data.clone())
@@ -206,7 +209,10 @@ fn snapshot_of_a_grown_index_roundtrips() {
     let cfg = PipelineConfig::cosine(0.7);
     let build = |data: Dataset| {
         Searcher::builder(cfg)
-            .algorithm(Algorithm::Lsh)
+            .composition(Composition::new(
+                GeneratorKind::LshBanding,
+                VerifierKind::Exact,
+            ))
             .parallelism(Parallelism::serial())
             .build(data)
             .unwrap()
@@ -232,7 +238,10 @@ fn load_with_parallelism_override_is_bit_identical() {
     let data = corpus(507);
     let cfg = PipelineConfig::cosine(0.7);
     let mut fresh = Searcher::builder(cfg)
-        .algorithm(Algorithm::LshBayesLshLite)
+        .composition(Composition::new(
+            GeneratorKind::LshBanding,
+            VerifierKind::BayesLite,
+        ))
         .parallelism(Parallelism::serial())
         .build(data.clone())
         .unwrap();

@@ -8,7 +8,7 @@ use bayeslsh::prelude::*;
 /// Every named composition the equivalence matrices cover: the paper's
 /// eight algorithms plus the off-grid SPRT verifier over LSH banding.
 pub fn all_compositions() -> Vec<Composition> {
-    let mut comps: Vec<Composition> = Algorithm::ALL.iter().map(|a| a.composition()).collect();
+    let mut comps: Vec<Composition> = Composition::PAPER.iter().map(|&(_, c)| c).collect();
     comps.push(Composition::new(
         GeneratorKind::LshBanding,
         VerifierKind::Sprt,
@@ -16,26 +16,7 @@ pub fn all_compositions() -> Vec<Composition> {
     comps
 }
 
-/// The named [`Algorithm`] a composition is a point of, if any — the SPRT
-/// composition sits off the paper's eight-point grid.
-pub fn algorithm_for(comp: Composition) -> Option<Algorithm> {
-    Algorithm::ALL.into_iter().find(|a| a.composition() == comp)
-}
-
 /// Whether a composition can verify weighted (non-binary) vectors.
 pub fn supports_weighted(comp: Composition) -> bool {
-    algorithm_for(comp).map_or(true, |a| a.supports_weighted())
-}
-
-/// One-shot batch run of an arbitrary composition — [`run_algorithm`] for
-/// points off the named grid (same context shape, same seeds).
-pub fn run_comp(comp: Composition, data: &Dataset, cfg: &PipelineConfig) -> CompositionOutput {
-    let mut pool = SigPool::for_config(cfg, data);
-    let mut ctx = SearchContext {
-        data,
-        cfg,
-        pool: &mut pool,
-        index: None,
-    };
-    run_composition(comp, &mut ctx).unwrap_or_else(|e| panic!("{comp} failed: {e}"))
+    !comp.requires_binary(Measure::Cosine)
 }

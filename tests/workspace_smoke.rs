@@ -1,4 +1,4 @@
-//! Workspace wiring smoke test: every `Algorithm` variant must run
+//! Workspace wiring smoke test: every algorithm the paper names must run
 //! end-to-end on a tiny preset without panicking, through the facade's
 //! re-exported surface alone. This guards the Cargo manifest wiring itself —
 //! if a crate is dropped from the workspace or a re-export goes missing,
@@ -12,13 +12,13 @@ fn every_algorithm_smokes_on_weighted_cosine() {
     let data = Preset::Rcv1.load(0.0005, 11);
     assert!(data.len() > 10, "tiny preset unexpectedly empty");
     let cfg = PipelineConfig::cosine(0.7);
-    for algo in Algorithm::ALL {
-        if !algo.supports_weighted() {
+    for (name, comp) in Composition::PAPER {
+        if comp.requires_binary(Measure::Cosine) {
             continue;
         }
-        let out = run_algorithm(algo, &data, &cfg);
-        assert_eq!(out.algorithm, algo);
-        sanity_check(algo, &out, data.len() as u32);
+        let out = run_composition(comp, &data, &cfg).unwrap();
+        assert_eq!(out.composition, comp);
+        sanity_check(name, &out, data.len() as u32);
     }
 }
 
@@ -27,10 +27,10 @@ fn every_algorithm_smokes_on_binary_jaccard() {
     let data = Preset::Twitter.load_binary(0.0008, 12);
     assert!(data.len() > 10, "tiny preset unexpectedly empty");
     let cfg = PipelineConfig::jaccard(0.4);
-    for algo in Algorithm::ALL {
-        let out = run_algorithm(algo, &data, &cfg);
-        assert_eq!(out.algorithm, algo);
-        sanity_check(algo, &out, data.len() as u32);
+    for (name, comp) in Composition::PAPER {
+        let out = run_composition(comp, &data, &cfg).unwrap();
+        assert_eq!(out.composition, comp);
+        sanity_check(name, &out, data.len() as u32);
     }
 }
 
@@ -39,20 +39,20 @@ fn every_algorithm_smokes_on_binary_cosine() {
     let data = Preset::Orkut.load_binary(0.0003, 13);
     assert!(data.len() > 10, "tiny preset unexpectedly empty");
     let cfg = PipelineConfig::cosine(0.6);
-    for algo in Algorithm::ALL {
-        let out = run_algorithm(algo, &data, &cfg);
-        assert_eq!(out.algorithm, algo);
-        sanity_check(algo, &out, data.len() as u32);
+    for (name, comp) in Composition::PAPER {
+        let out = run_composition(comp, &data, &cfg).unwrap();
+        assert_eq!(out.composition, comp);
+        sanity_check(name, &out, data.len() as u32);
     }
 }
 
-fn sanity_check(algo: Algorithm, out: &RunOutput, n: u32) {
+fn sanity_check(name: &str, out: &CompositionOutput, n: u32) {
     for &(a, b, s) in &out.pairs {
-        assert!(a < b, "{algo}: unordered pair ({a}, {b})");
-        assert!(b < n, "{algo}: id {b} out of range");
+        assert!(a < b, "{name}: unordered pair ({a}, {b})");
+        assert!(b < n, "{name}: id {b} out of range");
         assert!(
             (0.0..=1.0 + 1e-9).contains(&s),
-            "{algo}: similarity {s} out of range"
+            "{name}: similarity {s} out of range"
         );
     }
     assert!(out.total_secs >= 0.0);
