@@ -216,15 +216,27 @@ fn composition_surface() {
     assert_eq!(out.candidates, candidates.len() as u64);
     pairs.sort_by_key(|&(a, b, _)| (a, b));
     assert_eq!(out.pairs, pairs);
-    // Exact similarities → estimation error at f32-normalization noise.
-    let err: ErrorStats = estimate_errors(&out.pairs, &data, Measure::Cosine, 0.05);
-    assert!(err.max_abs < 1e-6);
     // And the typed error type is part of the facade.
     let mut bad = cfg;
     bad.k = 0;
     let err: SearchError = bad.validate().unwrap_err();
     assert!(err.to_string().contains("invalid config"));
     assert_eq!(run_composition(comp, &data, &bad).unwrap_err(), err);
+}
+
+#[test]
+fn run_output_shape() {
+    let data = Preset::Rcv1.load(0.0006, 3);
+    let comp = Composition::new(GeneratorKind::AllPairs, VerifierKind::Exact);
+    let out: CompositionOutput =
+        run_composition(comp, &data, &PipelineConfig::cosine(0.8)).expect("runs");
+    assert_eq!(out.composition, comp);
+    assert_eq!(out.composition.paper_name(), Some("AllPairs"));
+    assert!(out.total_secs >= 0.0);
+    assert!(out.engine.is_none());
+    let err: ErrorStats = estimate_errors(&out.pairs, &data, Measure::Cosine, 0.05);
+    // Exact similarities → estimation error at f32-normalization noise.
+    assert!(err.max_abs < 1e-6);
 }
 
 #[test]
