@@ -227,6 +227,97 @@ fn fixture_bytes_are_reproducible() {
     );
 }
 
+/// `(save length, FNV-1a of the save, hash_count())` for one family × hash
+/// mode × verifier at two threads, after one join, three threshold queries
+/// and three top-k queries have deepened its pool.
+fn pool_digest(cfg: PipelineConfig, data: Dataset, mode: HashMode, v: VerifierKind) -> [u64; 3] {
+    let queries: Vec<SparseVector> = [0u32, 5, 10]
+        .iter()
+        .map(|&id| data.vector(id).clone())
+        .collect();
+    let t = cfg.threshold;
+    let s = Searcher::builder(cfg)
+        .composition(Composition::new(GeneratorKind::LshBanding, v))
+        .hash_mode(mode)
+        .parallelism(Parallelism::threads(2))
+        .build(data)
+        .unwrap();
+    s.all_pairs().unwrap();
+    for q in &queries {
+        s.query(q, t).unwrap();
+        s.top_k(q, 3, &KnnParams::default()).unwrap();
+    }
+    let mut bytes = Vec::new();
+    s.save(&mut bytes).unwrap();
+    [
+        bytes.len() as u64,
+        bayeslsh::numeric::wire::fnv1a_checksum(&bytes),
+        s.hash_count(),
+    ]
+}
+
+#[test]
+fn every_pool_family_writes_pinned_snapshot_bytes() {
+    // Only the cosine layout has a committed fixture; this pins the bytes
+    // of every pool family (SRP bits for cosine and MIPS, minhash integers,
+    // E2LSH buckets): hasher header, per-object depths and words, and the
+    // hash accounting. Recorded from the per-family pools the generic
+    // signature pool replaced.
+    // [save length, FNV-1a of the save, hash_count()], in loop order:
+    // family, then Eager/Lazy, then BayesLSH-Lite/BayesLSH.
+    const EXPECT: [[u64; 3]; 16] = [
+        // cosine
+        [13739, 16684160050445237503, 9216],
+        [20779, 16382625730294620884, 65536],
+        [13739, 2547361764762572243, 9216],
+        [20779, 11409938240110675766, 65536],
+        // Jaccard
+        [22594, 16617409054911897016, 3015],
+        [76070, 13949697645990830405, 16384],
+        [22594, 11403535642238874793, 3015],
+        [51934, 7038709808979381578, 10350],
+        // L2
+        [16954, 2580625528474985673, 3008],
+        [70458, 5157184806111182642, 16384],
+        [16954, 13767674587433978222, 3008],
+        [70458, 10925185321951342360, 16384],
+        // MIPS
+        [20519, 6235883770488977036, 14784],
+        [27119, 15293967779141638945, 67584],
+        [20519, 9656013341622976182, 14784],
+        [27119, 1609637279551657008, 67584],
+    ];
+    // The fixture's four clusters plus sixteen unclustered vectors and one
+    // empty vector, which no pool hashes. Lazy Jaccard verification leaves
+    // uneven depths; the other families' candidate sets cover every
+    // vector, and two-thread scans pre-extend candidates to the scan cap.
+    let mut corpus = fixture_corpus();
+    let mut rng = Xoshiro256::seed_from_u64(19);
+    for _ in 0..16 {
+        let pairs: Vec<(u32, f32)> = (0..12)
+            .map(|_| (rng.next_below(400) as u32, (rng.next_f64() + 0.3) as f32))
+            .collect();
+        corpus.push(SparseVector::from_pairs(pairs));
+    }
+    corpus.push(SparseVector::from_pairs(Vec::new()));
+    let mips = MipsTransform::fit(&corpus);
+    let families = [
+        (PipelineConfig::cosine(0.7), corpus.clone()),
+        (PipelineConfig::jaccard(0.5), corpus.binarized()),
+        (PipelineConfig::l2(0.5, 4.0), corpus.clone()),
+        (PipelineConfig::mips(0.6), mips.transform_corpus(&corpus)),
+    ];
+    let mut got = Vec::new();
+    for (cfg, data) in families {
+        for mode in [HashMode::Eager, HashMode::Lazy] {
+            for v in [VerifierKind::BayesLite, VerifierKind::Bayes] {
+                got.push(pool_digest(cfg, data.clone(), mode, v));
+            }
+        }
+    }
+    assert_eq!(got, EXPECT, "snapshot bytes drifted: {got:?}");
+}
+
 /// Regenerates the committed fixture. Run explicitly (see module docs);
 /// never runs in CI.
 #[test]
