@@ -5,11 +5,11 @@ use std::hint::black_box;
 
 use bayeslsh_candgen::ppjoin::ppjoin_jaccard_with_stats;
 use bayeslsh_candgen::{
-    all_pairs_cosine, all_pairs_cosine_candidates, lsh_candidates_bits, ppjoin_jaccard,
+    all_pairs_cosine, all_pairs_cosine_candidates, band_key_bits, lsh_candidates, ppjoin_jaccard,
     BandingParams,
 };
 use bayeslsh_datasets::Preset;
-use bayeslsh_lsh::{cos_to_r, BitSignatures, SrpHasher};
+use bayeslsh_lsh::{cos_to_r, BitSignatures, SignaturePool, SrpHasher};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_cosine_generators(c: &mut Criterion) {
@@ -25,9 +25,19 @@ fn bench_cosine_generators(c: &mut Criterion) {
     });
     g.bench_function("lsh_banding", |b| {
         let params = BandingParams::for_threshold(cos_to_r(t), 8, 0.03, 10_000);
+        let ids: Vec<u32> = data
+            .iter()
+            .filter(|(_, v)| !v.is_empty())
+            .map(|(id, _)| id)
+            .collect();
         b.iter(|| {
             let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 3), data.len());
-            black_box(lsh_candidates_bits(&mut pool, &data, params).len())
+            pool.depth_hint(params.total_hashes());
+            for &id in &ids {
+                pool.ensure(id, data.vector(id), params.total_hashes());
+            }
+            let key = |id, band| band_key_bits(pool.raw(id), band, params.k);
+            black_box(lsh_candidates(&ids, params, key).len())
         });
     });
     g.finish();

@@ -6,10 +6,8 @@
 //! t`; cosine: `p = c2r(t)`), the number of signatures needed for an
 //! expected false-negative rate ε is `l = ceil(log ε / log(1 − p^k))`.
 
-use bayeslsh_lsh::{BitSignatures, IntSignatures, ProjSignatures, SignaturePool};
 use bayeslsh_numeric::fan_out;
 use bayeslsh_numeric::wire::{WireError, WireReader, WireWriter};
-use bayeslsh_sparse::Dataset;
 
 use crate::fxhash::{FxHashMap, FxHasher};
 use crate::pairs::PairSet;
@@ -158,9 +156,9 @@ pub fn band_keys_ints(sigs: &[u32], params: BandingParams) -> Vec<u64> {
 /// A standing, growable LSH banding index: one bucket map per band, keyed
 /// by band keys, holding object ids.
 ///
-/// Unlike the one-shot candidate dumps ([`lsh_candidates_bits`] /
-/// [`lsh_candidates_ints`], now thin wrappers over this type), the index
-/// persists across operations: build it once, then serve any mix of
+/// Unlike the one-shot streaming join [`lsh_candidates`], which buckets
+/// one band at a time and keeps nothing, the index persists across
+/// operations: build it once, then serve any mix of
 /// [`BandingIndex::all_pairs`] joins, [`BandingIndex::probe`] point
 /// lookups, and incremental [`BandingIndex::insert`]s. Key computation is
 /// the caller's (hash-family-specific) job via [`band_keys_bits`] /
@@ -260,13 +258,7 @@ impl BandingIndex {
     {
         let shards = fan_out(params.l as usize, threads, |_, bands| {
             bands
-                .map(|band| {
-                    let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-                    for &id in ids {
-                        buckets.entry(key_of(id, band as u32)).or_default().push(id);
-                    }
-                    buckets
-                })
+                .map(|band| band_buckets(ids, band as u32, &key_of))
                 .collect::<Vec<_>>()
         });
         let mut index = Self::new(params);
@@ -530,6 +522,20 @@ impl BandingIndex {
     }
 }
 
+/// Band `band`'s bucket map over `ids`, inserted in `ids` order — the one
+/// construction both [`BandingIndex::par_build`] and [`lsh_candidates`]
+/// use, so their bucket iteration orders agree.
+fn band_buckets<F>(ids: &[u32], band: u32, key_of: &F) -> FxHashMap<u64, Vec<u32>>
+where
+    F: Fn(u32, u32) -> u64,
+{
+    let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+    for &id in ids {
+        buckets.entry(key_of(id, band)).or_default().push(id);
+    }
+    buckets
+}
+
 fn pairs_from_buckets(buckets: &FxHashMap<u64, Vec<u32>>, out: &mut PairSet) {
     for ids in buckets.values() {
         if ids.len() < 2 {
@@ -543,105 +549,24 @@ fn pairs_from_buckets(buckets: &FxHashMap<u64, Vec<u32>>, out: &mut PairSet) {
     }
 }
 
-/// Candidate pairs from bit signatures (cosine / signed random projections).
+/// Candidate pairs from a one-shot banding join over `ids`: every pair
+/// sharing at least one of the `params.l` band keys, where `key_of(id,
+/// band)` supplies keys exactly as for [`BandingIndex::par_build`]
+/// (typically a read into a signature pool hashed to
+/// `params.total_hashes()`).
 ///
-/// Hashes every non-empty vector to `k·l` bits through `pool` and returns
-/// all pairs sharing at least one of the `l` k-bit bands.
-///
-/// This one-shot path streams one band's buckets at a time (peak memory
-/// O(corpus), not O(bands × corpus) like a full [`BandingIndex`]); since
-/// each per-band bucket map sees the same insertions in the same order
-/// either way, the candidate order is identical to
-/// [`BandingIndex::all_pairs`] over an index built in id order.
-pub fn lsh_candidates_bits(
-    pool: &mut BitSignatures,
-    data: &Dataset,
-    params: BandingParams,
-) -> Vec<(u32, u32)> {
-    assert!(params.k <= 64, "band keys are packed into u64 (k <= 64)");
-    let need = params.total_hashes();
-    // The feature-major SRP kernel hashes each vector's whole band range in
-    // one pass; the hint makes every signature a single allocation.
-    pool.depth_hint(need);
-    for (id, v) in data.iter() {
-        if !v.is_empty() {
-            pool.ensure(id, v, need);
-        }
-    }
+/// The join streams one band's buckets at a time, so peak memory is
+/// O(`ids`), not O(bands × `ids`) like a full [`BandingIndex`]. Each
+/// band's bucket map sees the same insertions in the same order either
+/// way, so the candidate order is identical to [`BandingIndex::all_pairs`]
+/// over an index built from the same `ids`.
+pub fn lsh_candidates<F>(ids: &[u32], params: BandingParams, key_of: F) -> Vec<(u32, u32)>
+where
+    F: Fn(u32, u32) -> u64,
+{
     let mut out = PairSet::new();
     for band in 0..params.l {
-        let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for (id, v) in data.iter() {
-            if v.is_empty() {
-                continue;
-            }
-            let key = band_key_bits(pool.raw_words(id), band, params.k);
-            buckets.entry(key).or_default().push(id);
-        }
-        pairs_from_buckets(&buckets, &mut out);
-    }
-    out.into_vec()
-}
-
-/// Candidate pairs from integer minhash signatures (Jaccard). Streams one
-/// band at a time; see [`lsh_candidates_bits`] on memory and ordering.
-pub fn lsh_candidates_ints(
-    pool: &mut IntSignatures,
-    data: &Dataset,
-    params: BandingParams,
-) -> Vec<(u32, u32)> {
-    let need = params.total_hashes();
-    // Element-major minhash kernel: one pass per vector; see
-    // [`lsh_candidates_bits`] on the allocation hint.
-    pool.depth_hint(need);
-    for (id, v) in data.iter() {
-        if !v.is_empty() {
-            pool.ensure(id, v, need);
-        }
-    }
-    let mut out = PairSet::new();
-    for band in 0..params.l {
-        let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for (id, v) in data.iter() {
-            if v.is_empty() {
-                continue;
-            }
-            let key = band_key_ints(pool.raw(id), band, params.k);
-            buckets.entry(key).or_default().push(id);
-        }
-        pairs_from_buckets(&buckets, &mut out);
-    }
-    out.into_vec()
-}
-
-/// Candidate pairs from quantized-projection signatures (L2 / E2LSH).
-/// The bucket hashes are integer-valued like minhash, so the banding is
-/// identical to [`lsh_candidates_ints`]; streams one band at a time.
-pub fn lsh_candidates_projs(
-    pool: &mut ProjSignatures,
-    data: &Dataset,
-    params: BandingParams,
-) -> Vec<(u32, u32)> {
-    let need = params.total_hashes();
-    // Feature-major projection kernel: one pass per vector; see
-    // [`lsh_candidates_bits`] on the allocation hint.
-    pool.depth_hint(need);
-    for (id, v) in data.iter() {
-        if !v.is_empty() {
-            pool.ensure(id, v, need);
-        }
-    }
-    let mut out = PairSet::new();
-    for band in 0..params.l {
-        let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for (id, v) in data.iter() {
-            if v.is_empty() {
-                continue;
-            }
-            let key = band_key_ints(pool.raw(id), band, params.k);
-            buckets.entry(key).or_default().push(id);
-        }
-        pairs_from_buckets(&buckets, &mut out);
+        pairs_from_buckets(&band_buckets(ids, band, &key_of), &mut out);
     }
     out.into_vec()
 }
@@ -649,8 +574,11 @@ pub fn lsh_candidates_projs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bayeslsh_lsh::{E2lshHasher, MinHasher, SrpHasher};
+    use bayeslsh_lsh::{
+        E2lshHasher, IntSignatures, MinHasher, PoolHasher, SignaturePool, Signatures, SrpHasher,
+    };
     use bayeslsh_numeric::Xoshiro256;
+    use bayeslsh_sparse::Dataset;
     use bayeslsh_sparse::{jaccard, SparseVector};
 
     #[test]
@@ -767,13 +695,33 @@ mod tests {
         d
     }
 
+    /// The one-shot join as a serial pipeline runs it: hash every
+    /// non-empty vector to the banding depth, then stream the bands with
+    /// `key` reading the pool.
+    fn one_shot<H: PoolHasher>(
+        pool: &mut Signatures<H>,
+        data: &Dataset,
+        params: BandingParams,
+        key: fn(&[u32], u32, u32) -> u64,
+    ) -> Vec<(u32, u32)> {
+        let ids: Vec<u32> = data
+            .iter()
+            .filter(|(_, v)| !v.is_empty())
+            .map(|(id, _)| id)
+            .collect();
+        for &id in &ids {
+            pool.ensure(id, data.vector(id), params.total_hashes());
+        }
+        lsh_candidates(&ids, params, |id, band| key(pool.raw(id), band, params.k))
+    }
+
     #[test]
     fn banding_finds_similar_jaccard_pairs() {
         let data = clustered_sets(10, 5, 51);
         let t = 0.5;
         let params = BandingParams::for_threshold(t, 3, 0.03, 1000);
-        let mut pool = IntSignatures::new(MinHasher::new(52), data.len());
-        let cands = lsh_candidates_ints(&mut pool, &data, params);
+        let mut pool = Signatures::new(MinHasher::new(52), data.len());
+        let cands = one_shot(&mut pool, &data, params, band_key_ints);
         // Ground truth.
         let mut missed = 0;
         let mut truth = 0;
@@ -802,8 +750,8 @@ mod tests {
         let data = clustered_sets(10, 5, 53);
         let t = 0.7;
         let params = BandingParams::for_threshold(cos_to_r(t), 8, 0.03, 1000);
-        let mut pool = BitSignatures::new(SrpHasher::new(data.dim(), 54), data.len());
-        let cands = lsh_candidates_bits(&mut pool, &data, params);
+        let mut pool = Signatures::new(SrpHasher::new(data.dim(), 54), data.len());
+        let cands = one_shot(&mut pool, &data, params, band_key_bits);
         let mut missed = 0;
         let mut truth = 0;
         for a in 0..data.len() as u32 {
@@ -926,8 +874,8 @@ mod tests {
             }
         }
         let params = BandingParams { k: 2, l: 4 };
-        let mut pool = ProjSignatures::new(E2lshHasher::new(data.dim(), 72, 4.0), data.len());
-        let cands = lsh_candidates_projs(&mut pool, &data, params);
+        let mut pool = Signatures::new(E2lshHasher::new(data.dim(), 72, 4.0), data.len());
+        let cands = one_shot(&mut pool, &data, params, band_key_ints);
         for c in 0..2u32 {
             for a in 0..6u32 {
                 for b in (a + 1)..6 {
@@ -936,8 +884,8 @@ mod tests {
                 }
             }
         }
-        // The one-shot streaming path reads identically to an id-order
-        // BandingIndex, same as the bits/ints paths.
+        // The one-shot streaming join reads identically to an id-order
+        // BandingIndex.
         let mut index = BandingIndex::new(params);
         for (id, _) in data.iter() {
             index.insert(id, &band_keys_ints(pool.raw(id), params));
@@ -1078,8 +1026,8 @@ mod tests {
         d.push(SparseVector::empty());
         d.push(SparseVector::from_indices(vec![1, 2, 3]));
         let params = BandingParams { k: 2, l: 4 };
-        let mut pool = IntSignatures::new(MinHasher::new(60), d.len());
-        let cands = lsh_candidates_ints(&mut pool, &d, params);
+        let mut pool = Signatures::new(MinHasher::new(60), d.len());
+        let cands = one_shot(&mut pool, &d, params, band_key_ints);
         assert!(cands.is_empty(), "{cands:?}");
     }
 }

@@ -23,14 +23,12 @@ use std::time::Instant;
 
 use bayeslsh_candgen::{
     all_pairs_cosine, all_pairs_cosine_candidates, all_pairs_jaccard, all_pairs_jaccard_candidates,
-    band_key_bits, band_key_ints, band_keys_bits, band_keys_ints, lsh_candidates_bits,
-    lsh_candidates_ints, lsh_candidates_projs, ppjoin_binary_cosine, ppjoin_jaccard, BandingIndex,
-    BandingParams,
+    band_key_bits, band_key_ints, lsh_candidates, ppjoin_binary_cosine, ppjoin_jaccard,
+    BandingIndex, BandingParams,
 };
 use bayeslsh_lsh::{
-    count_bit_agreements, count_bit_agreements_batched, count_int_agreements,
-    count_int_agreements_batched, BitSignatures, E2lshHasher, IntSignatures, Measure, MinHasher,
-    ProjSignatures, SignaturePool, SrpHasher,
+    BitSignatures, E2lshHasher, IntSignatures, Measure, MinHasher, ProjSignatures, SignaturePool,
+    SrpHasher,
 };
 use bayeslsh_numeric::{derive_seed, Xoshiro256};
 use bayeslsh_sparse::{jaccard, Dataset, SparseVector};
@@ -66,6 +64,17 @@ pub enum SigPool {
     Projs(ProjSignatures),
 }
 
+/// Forward `$body` to whichever pool a [`SigPool`] holds, bound as `$p`.
+macro_rules! each_pool {
+    ($pool:expr, $p:ident => $body:expr) => {
+        match $pool {
+            SigPool::Bits($p) => $body,
+            SigPool::Ints($p) => $body,
+            SigPool::Projs($p) => $body,
+        }
+    };
+}
+
 impl SigPool {
     /// A pool matching `cfg.family`, sized for `data`.
     pub fn for_config(cfg: &PipelineConfig, data: &Dataset) -> Self {
@@ -97,58 +106,50 @@ impl SigPool {
 
     /// Make room for objects `0..n_objects`, keeping existing signatures.
     pub fn grow_to(&mut self, n_objects: usize) {
+        each_pool!(self, p => p.grow_to(n_objects))
+    }
+
+    /// The stored words of pool member `id`'s signature.
+    fn raw(&self, id: u32) -> &[u32] {
+        each_pool!(self, p => p.raw(id))
+    }
+
+    /// The band-`band` key of signature `sig` for bands of width `k`: the
+    /// raw bit run of packed SRP bits, an FxHash of an integer-hash run.
+    fn key_of(&self, sig: &[u32], band: u32, k: u32) -> u64 {
         match self {
-            SigPool::Bits(p) => p.grow_to(n_objects),
-            SigPool::Ints(p) => p.grow_to(n_objects),
-            SigPool::Projs(p) => p.grow_to(n_objects),
+            SigPool::Bits(_) => band_key_bits(sig, band, k),
+            SigPool::Ints(_) | SigPool::Projs(_) => band_key_ints(sig, band, k),
         }
     }
 
     /// The `l` band keys of pool member `id` (which must be hashed to at
     /// least `params.total_hashes()` already).
     pub fn band_keys(&self, id: u32, params: BandingParams) -> Vec<u64> {
-        match self {
-            SigPool::Bits(p) => band_keys_bits(p.raw_words(id), params),
-            SigPool::Ints(p) => band_keys_ints(p.raw(id), params),
-            SigPool::Projs(p) => band_keys_ints(p.raw(id), params),
-        }
+        self.query_band_keys(self.raw(id), params)
     }
 
     /// Hash an out-of-pool query vector to at least `n` hashes through the
     /// same hash family. The returned words are packed bits for
-    /// [`SigPool::Bits`] and raw minhashes for [`SigPool::Ints`]; feed them
-    /// back through [`SigPool::query_band_keys`] and
-    /// [`SigPool::query_agreements`].
+    /// [`SigPool::Bits`] and raw hashes otherwise; feed them back through
+    /// [`SigPool::query_band_keys`] and [`SigPool::query_agreements`].
     pub fn hash_query(&mut self, v: &SparseVector, n: u32) -> Vec<u32> {
         let mut sig = Vec::new();
-        match self {
-            SigPool::Bits(p) => p.hash_external(v, 0, n, &mut sig),
-            SigPool::Ints(p) => p.hash_external(v, 0, n, &mut sig),
-            SigPool::Projs(p) => p.hash_external(v, 0, n, &mut sig),
-        }
+        each_pool!(self, p => p.hash_external(v, 0, n, &mut sig));
         sig
     }
 
     /// The `l` band keys of an external query signature.
     pub fn query_band_keys(&self, sig: &[u32], params: BandingParams) -> Vec<u64> {
-        match self {
-            SigPool::Bits(_) => (0..params.l)
-                .map(|band| band_key_bits(sig, band, params.k))
-                .collect(),
-            SigPool::Ints(_) | SigPool::Projs(_) => (0..params.l)
-                .map(|band| band_key_ints(sig, band, params.k))
-                .collect(),
-        }
+        (0..params.l)
+            .map(|band| self.key_of(sig, band, params.k))
+            .collect()
     }
 
     /// Count agreeing hashes in positions `lo..hi` between an external
     /// query signature and pool member `id` (hashed to at least `hi`).
     pub fn query_agreements(&self, sig: &[u32], id: u32, lo: u32, hi: u32) -> u32 {
-        match self {
-            SigPool::Bits(p) => count_bit_agreements(sig, p.raw_words(id), lo, hi),
-            SigPool::Ints(p) => count_int_agreements(sig, p.raw(id), lo, hi),
-            SigPool::Projs(p) => count_int_agreements(sig, p.raw(id), lo, hi),
-        }
+        each_pool!(self, p => p.external_agreements(sig, id, lo, hi))
     }
 
     /// Batched [`SigPool::query_agreements`]: count an external query
@@ -165,21 +166,7 @@ impl SigPool {
         hi: u32,
         out: &mut Vec<u32>,
     ) {
-        match self {
-            SigPool::Bits(p) => count_bit_agreements_batched(
-                sig,
-                ids.iter().map(|&id| p.raw_words(id)),
-                lo,
-                hi,
-                out,
-            ),
-            SigPool::Ints(p) => {
-                count_int_agreements_batched(sig, ids.iter().map(|&id| p.raw(id)), lo, hi, out)
-            }
-            SigPool::Projs(p) => {
-                count_int_agreements_batched(sig, ids.iter().map(|&id| p.raw(id)), lo, hi, out)
-            }
-        }
+        each_pool!(self, p => p.external_agreements_batched(sig, ids, lo, hi, out))
     }
 
     /// Extend the signatures of `ids` to at least `n` hashes with up to
@@ -187,127 +174,76 @@ impl SigPool {
     /// back in index order). Pool state is bit-identical to serial
     /// [`SignaturePool::ensure`] calls for the same ids.
     pub fn par_ensure_ids(&mut self, data: &Dataset, ids: &[u32], n: u32, threads: usize) {
-        match self {
-            SigPool::Bits(p) => p.par_ensure_ids(data, ids, n, threads),
-            SigPool::Ints(p) => p.par_ensure_ids(data, ids, n, threads),
-            SigPool::Projs(p) => p.par_ensure_ids(data, ids, n, threads),
-        }
+        each_pool!(self, p => p.par_ensure_ids(data, ids, n, threads))
     }
 
     /// [`SigPool::hash_query`] with the hash range split across up to
     /// `threads` workers; the returned signature is bit-identical.
     pub fn hash_query_par(&mut self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
-        match self {
-            SigPool::Bits(p) => p.hash_external_par(v, n, threads),
-            SigPool::Ints(p) => p.hash_external_par(v, n, threads),
-            SigPool::Projs(p) => p.hash_external_par(v, n, threads),
-        }
+        each_pool!(self, p => p.hash_external_par(v, n, threads))
     }
 
     /// Whether [`SigPool::hash_query_ready`] can hash an `n`-deep query
     /// signature right now without mutating the pool (the hasher bank
     /// already covers the target depth).
     pub fn query_ready(&self, n: u32) -> bool {
-        match self {
-            SigPool::Bits(p) => p.external_ready(n),
-            SigPool::Ints(p) => p.external_ready(n),
-            SigPool::Projs(p) => p.external_ready(n),
-        }
+        each_pool!(self, p => p.external_ready(n))
     }
 
     /// Materialize the hasher bank for `n`-deep query hashing up front, so
     /// subsequent [`SigPool::hash_query_ready`] calls work through `&self`
     /// (the shared-reader serving path).
     pub fn prepare_query(&mut self, n: u32, threads: usize) {
-        match self {
-            SigPool::Bits(p) => p.prepare_external(n, threads),
-            SigPool::Ints(p) => p.prepare_external(n, threads),
-            SigPool::Projs(p) => p.prepare_external(n, threads),
-        }
+        each_pool!(self, p => p.prepare_external(n, threads))
     }
 
     /// Read-only [`SigPool::hash_query_par`]: bit-identical output, but
     /// through `&self`. Requires [`SigPool::query_ready`]`(n)`; many reader
     /// threads may call this concurrently.
     pub fn hash_query_ready(&self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
-        match self {
-            SigPool::Bits(p) => p.hash_external_ready(v, n, threads),
-            SigPool::Ints(p) => p.hash_external_ready(v, n, threads),
-            SigPool::Projs(p) => p.hash_external_ready(v, n, threads),
-        }
+        each_pool!(self, p => p.hash_external_ready(v, n, threads))
     }
 
     /// Drop object `id`'s signature and release its hashes from the cost
     /// accounting (compaction of removed objects). The slot stays valid and
     /// empty, indistinguishable from a never-hashed object.
     pub fn clear(&mut self, id: u32) {
-        match self {
-            SigPool::Bits(p) => p.clear(id),
-            SigPool::Ints(p) => p.clear(id),
-            SigPool::Projs(p) => p.clear(id),
-        }
+        each_pool!(self, p => p.clear(id))
     }
 
     /// The single band-`band` key of pool member `id` (hashed to at least
     /// `params.total_hashes()` already) — the shard-local key lookup
-    /// [`bayeslsh_candgen::BandingIndex::par_build`] consumes, avoiding
-    /// any id-major key buffer.
+    /// [`bayeslsh_candgen::BandingIndex::par_build`] and
+    /// [`bayeslsh_candgen::lsh_candidates`] consume, avoiding any id-major
+    /// key buffer.
     pub fn band_key(&self, id: u32, band: u32, params: BandingParams) -> u64 {
-        match self {
-            SigPool::Bits(p) => band_key_bits(p.raw_words(id), band, params.k),
-            SigPool::Ints(p) => band_key_ints(p.raw(id), band, params.k),
-            SigPool::Projs(p) => band_key_ints(p.raw(id), band, params.k),
-        }
+        self.key_of(self.raw(id), band, params.k)
     }
 }
 
 impl SignaturePool for SigPool {
     fn ensure(&mut self, id: u32, v: &SparseVector, n: u32) {
-        match self {
-            SigPool::Bits(p) => p.ensure(id, v, n),
-            SigPool::Ints(p) => p.ensure(id, v, n),
-            SigPool::Projs(p) => p.ensure(id, v, n),
-        }
+        each_pool!(self, p => p.ensure(id, v, n))
     }
 
     fn len(&self, id: u32) -> u32 {
-        match self {
-            SigPool::Bits(p) => p.len(id),
-            SigPool::Ints(p) => p.len(id),
-            SigPool::Projs(p) => p.len(id),
-        }
+        each_pool!(self, p => p.len(id))
     }
 
     fn agreements(&self, a: u32, b: u32, lo: u32, hi: u32) -> u32 {
-        match self {
-            SigPool::Bits(p) => p.agreements(a, b, lo, hi),
-            SigPool::Ints(p) => p.agreements(a, b, lo, hi),
-            SigPool::Projs(p) => p.agreements(a, b, lo, hi),
-        }
+        each_pool!(self, p => p.agreements(a, b, lo, hi))
     }
 
     fn agreements_batched(&self, a: u32, others: &[u32], lo: u32, hi: u32, out: &mut Vec<u32>) {
-        match self {
-            SigPool::Bits(p) => p.agreements_batched(a, others, lo, hi, out),
-            SigPool::Ints(p) => p.agreements_batched(a, others, lo, hi, out),
-            SigPool::Projs(p) => p.agreements_batched(a, others, lo, hi, out),
-        }
+        each_pool!(self, p => p.agreements_batched(a, others, lo, hi, out))
     }
 
     fn total_hashes(&self) -> u64 {
-        match self {
-            SigPool::Bits(p) => p.total_hashes(),
-            SigPool::Ints(p) => p.total_hashes(),
-            SigPool::Projs(p) => p.total_hashes(),
-        }
+        each_pool!(self, p => p.total_hashes())
     }
 
     fn depth_hint(&mut self, n: u32) {
-        match self {
-            SigPool::Bits(p) => p.depth_hint(n),
-            SigPool::Ints(p) => p.depth_hint(n),
-            SigPool::Projs(p) => p.depth_hint(n),
-        }
+        each_pool!(self, p => p.depth_hint(n))
     }
 }
 
@@ -730,30 +666,33 @@ impl CandidateGenerator for LshBandingGenerator {
             return index.par_all_pairs(threads);
         }
         let params = ctx.cfg.banding_plan().params;
+        let need = params.total_hashes();
+        let ids: Vec<u32> = ctx
+            .data
+            .iter()
+            .filter(|(_, v)| !v.is_empty())
+            .map(|(id, _)| id)
+            .collect();
         if threads > 1 {
             // Transient sharded build: hash the corpus in parallel, build
             // the band-sharded index, fan out the join. Candidate order is
-            // identical to the serial streaming path (each band's buckets
+            // identical to the serial streaming join (each band's buckets
             // see the same id-order insertions either way).
-            let ids: Vec<u32> = ctx
-                .data
-                .iter()
-                .filter(|(_, v)| !v.is_empty())
-                .map(|(id, _)| id)
-                .collect();
-            ctx.pool
-                .par_ensure_ids(ctx.data, &ids, params.total_hashes(), threads);
+            ctx.pool.par_ensure_ids(ctx.data, &ids, need, threads);
             let pool = &*ctx.pool;
             let index = BandingIndex::par_build(params, &ids, threads, |id, band| {
                 pool.band_key(id, band, params)
             });
             return index.par_all_pairs(threads);
         }
-        match ctx.pool {
-            SigPool::Bits(pool) => lsh_candidates_bits(pool, ctx.data, params),
-            SigPool::Ints(pool) => lsh_candidates_ints(pool, ctx.data, params),
-            SigPool::Projs(pool) => lsh_candidates_projs(pool, ctx.data, params),
+        // Each range kernel hashes a vector's whole band range in one
+        // pass; the hint makes every signature a single allocation.
+        ctx.pool.depth_hint(need);
+        for &id in &ids {
+            ctx.pool.ensure(id, ctx.data.vector(id), need);
         }
+        let pool = &*ctx.pool;
+        lsh_candidates(&ids, params, |id, band| pool.band_key(id, band, params))
     }
 }
 

@@ -610,7 +610,7 @@ impl Searcher {
         let pool = parse_section("pool", &pool_bytes, |s| {
             Ok(match s.get_u8()? {
                 0 => SigPool::Bits(BitSignatures::read_wire(s, threads, header.sig_depth)?),
-                1 => SigPool::Ints(IntSignatures::read_wire(s, header.sig_depth)?),
+                1 => SigPool::Ints(IntSignatures::read_wire(s, threads, header.sig_depth)?),
                 2 => SigPool::Projs(ProjSignatures::read_wire(s, threads, header.sig_depth)?),
                 other => {
                     return Err(WireError::corrupt(format!("unknown pool tag {other}")));

@@ -24,11 +24,9 @@
 
 use bayeslsh_numeric::wire::{WireError, WireReader, WireWriter};
 use bayeslsh_numeric::{derive_seed, fan_out, Gaussian, Xoshiro256};
-use bayeslsh_sparse::{Dataset, SparseVector};
+use bayeslsh_sparse::SparseVector;
 
-use crate::signature::{
-    count_int_agreements, count_int_agreements_batched, dedup_ids, SignaturePool,
-};
+use crate::signature::Signatures;
 
 /// Projection `index` of the `(dim, seed)` bank plus its uniform offset
 /// `b/r ∈ [0, 1)` — a pure function, so projections can be generated in any
@@ -348,253 +346,10 @@ impl E2lshHasher {
     }
 }
 
-/// Integer bucket signatures from p-stable quantized projections.
-///
-/// Storage, lazy extension, and the parallel chunk/splice contract mirror
-/// [`crate::IntSignatures`]; only the hasher differs, so the same
-/// agreement-counting kernels serve both.
-#[derive(Debug, Clone)]
-pub struct ProjSignatures {
-    hasher: E2lshHasher,
-    sigs: Vec<Vec<u32>>,
-    total: u64,
-    /// Depth hint (hashes) for up-front signature reservation.
-    hint: u32,
-}
-
-impl ProjSignatures {
-    /// A pool for `n_objects` objects hashing through `hasher`.
-    pub fn new(hasher: E2lshHasher, n_objects: usize) -> Self {
-        Self {
-            hasher,
-            sigs: vec![Vec::new(); n_objects],
-            total: 0,
-            hint: 0,
-        }
-    }
-
-    /// The raw bucket values of `id`'s signature.
-    pub fn raw(&self, id: u32) -> &[u32] {
-        &self.sigs[id as usize]
-    }
-
-    /// Number of object slots the pool holds (hashed or not).
-    pub fn n_objects(&self) -> usize {
-        self.sigs.len()
-    }
-
-    /// Borrow the underlying hasher.
-    pub fn hasher(&self) -> &E2lshHasher {
-        &self.hasher
-    }
-
-    /// Hash an out-of-pool vector (e.g. an ad-hoc query) through the same
-    /// projection bank, extending `sigs` with hashes `lo..hi`; see
-    /// [`crate::IntSignatures::hash_external`] for the contract.
-    pub fn hash_external(&mut self, v: &SparseVector, lo: u32, hi: u32, sigs: &mut Vec<u32>) {
-        self.hasher.hash_range_into(v, lo, hi, sigs);
-    }
-
-    /// Make room for objects `0..n_objects`, keeping existing signatures.
-    pub fn grow_to(&mut self, n_objects: usize) {
-        if self.sigs.len() < n_objects {
-            self.sigs.resize(n_objects, Vec::new());
-        }
-    }
-
-    /// Extend the signatures of `ids` to at least `n` hashes with up to
-    /// `threads` workers; see [`crate::BitSignatures::par_ensure_ids`] for
-    /// the chunk/splice contract (pool state is identical to serial
-    /// `ensure` calls, duplicates included).
-    pub fn par_ensure_ids(&mut self, data: &Dataset, ids: &[u32], n: u32, threads: usize) {
-        self.grow_to(data.len());
-        let work: Vec<(u32, u32)> = dedup_ids(ids)
-            .filter(|&id| (self.sigs[id as usize].len() as u32) < n)
-            .map(|id| (id, self.sigs[id as usize].len() as u32))
-            .collect();
-        if work.is_empty() {
-            return;
-        }
-        self.hasher.ensure_functions_par(n as usize, threads);
-        if work.len() == 1 {
-            let (id, cur) = work[0];
-            let v = data.vector(id);
-            let hasher = &self.hasher;
-            let chunks = fan_out((n - cur) as usize, threads, |_, r| {
-                let mut scratch = E2lshScratch::new();
-                hasher.hash_range_packed_with(
-                    v,
-                    cur + r.start as u32,
-                    cur + r.end as u32,
-                    &mut scratch,
-                )
-            });
-            let slot = &mut self.sigs[id as usize];
-            for c in chunks {
-                slot.extend(c);
-            }
-            self.total += (n - cur) as u64;
-            return;
-        }
-        let hasher = &self.hasher;
-        let work_ref = &work;
-        let chunks = fan_out(work.len(), threads, |_, r| {
-            // One accumulator scratch per worker, reused across its ids.
-            let mut scratch = E2lshScratch::new();
-            work_ref[r]
-                .iter()
-                .map(|&(id, cur)| {
-                    hasher.hash_range_packed_with(data.vector(id), cur, n, &mut scratch)
-                })
-                .collect::<Vec<_>>()
-        });
-        for (&(id, cur), buf) in work.iter().zip(chunks.into_iter().flatten()) {
-            self.sigs[id as usize].extend(buf);
-            self.total += (n - cur) as u64;
-        }
-    }
-
-    /// Serialize the pool (hasher metadata + every signature) for an index
-    /// snapshot; see [`crate::BitSignatures::write_wire`] for the contract.
-    pub fn write_wire<W: std::io::Write>(&self, w: &mut WireWriter<W>) -> Result<(), WireError> {
-        self.hasher.write_wire(w)?;
-        w.put_u64(self.sigs.len() as u64)?;
-        for sig in &self.sigs {
-            w.put_u32(sig.len() as u32)?;
-            for &m in sig {
-                w.put_u32(m)?;
-            }
-        }
-        w.put_u64(self.total)?;
-        Ok(())
-    }
-
-    /// Deserialize a pool written by [`ProjSignatures::write_wire`],
-    /// validating the hashing-cost accounting against the stored depths.
-    /// Projection regeneration is bounded by `max(deepest stored signature,
-    /// depth_hint)` — see [`crate::BitSignatures::read_wire`] for the
-    /// untrusted-input rationale.
-    pub fn read_wire<R: std::io::Read>(
-        r: &mut WireReader<R>,
-        threads: usize,
-        depth_hint: u32,
-    ) -> Result<Self, WireError> {
-        let mut hasher = E2lshHasher::read_wire(r, threads, depth_hint as usize)?;
-        let n = r.get_u64()?;
-        let mut sigs = Vec::with_capacity(n.min(65_536) as usize);
-        let mut sum = 0u64;
-        let mut deepest = 0u32;
-        for _ in 0..n {
-            let len = r.get_u32()?;
-            let mut sig = Vec::with_capacity(len.min(65_536) as usize);
-            for _ in 0..len {
-                sig.push(r.get_u32()?);
-            }
-            sum += len as u64;
-            deepest = deepest.max(len);
-            sigs.push(sig);
-        }
-        let total = r.get_u64()?;
-        if total != sum {
-            return Err(WireError::corrupt(format!(
-                "hash accounting {total} disagrees with stored depths {sum}"
-            )));
-        }
-        hasher.ensure_functions_par(deepest as usize, threads);
-        Ok(Self {
-            hasher,
-            sigs,
-            total,
-            hint: 0,
-        })
-    }
-
-    /// Hash an out-of-pool vector to `n` buckets with up to `threads`
-    /// workers, splitting the hash range. Identical to
-    /// [`ProjSignatures::hash_external`] over `0..n`.
-    pub fn hash_external_par(&mut self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
-        self.hasher.ensure_functions_par(n as usize, threads);
-        self.hash_external_ready(v, n, threads)
-    }
-
-    /// Whether [`ProjSignatures::hash_external_ready`] can serve `n` hashes
-    /// right now.
-    pub fn external_ready(&self, n: u32) -> bool {
-        self.hasher.functions_ready() >= n as usize
-    }
-
-    /// Materialize the projection bank for `n`-hash external hashing up
-    /// front, so subsequent [`ProjSignatures::hash_external_ready`] calls
-    /// work through `&self` (the shared-reader serving path).
-    pub fn prepare_external(&mut self, n: u32, threads: usize) {
-        self.hasher.ensure_functions_par(n as usize, threads);
-    }
-
-    /// Read-only external hashing: identical output to
-    /// [`ProjSignatures::hash_external_par`], but through `&self`. The
-    /// projection bank must already cover `n`; many reader threads may call
-    /// this concurrently.
-    pub fn hash_external_ready(&self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
-        debug_assert!(self.external_ready(n), "projection bank not prepared");
-        let hasher = &self.hasher;
-        let chunks = fan_out(n as usize, threads, |_, r| {
-            let mut scratch = E2lshScratch::new();
-            hasher.hash_range_packed_with(v, r.start as u32, r.end as u32, &mut scratch)
-        });
-        chunks.into_iter().flatten().collect()
-    }
-
-    /// Drop object `id`'s signature and release its hashes from the cost
-    /// accounting; see [`crate::BitSignatures::clear`].
-    pub fn clear(&mut self, id: u32) {
-        let slot = &mut self.sigs[id as usize];
-        self.total -= slot.len() as u64;
-        slot.clear();
-        slot.shrink_to_fit();
-    }
-}
-
-impl SignaturePool for ProjSignatures {
-    fn ensure(&mut self, id: u32, v: &SparseVector, n: u32) {
-        let cur = self.sigs[id as usize].len() as u32;
-        if n <= cur {
-            return;
-        }
-        if cur == 0 && self.sigs[id as usize].capacity() == 0 && self.hint > n {
-            // First extension: allocate the advised full depth once.
-            self.sigs[id as usize].reserve_exact(self.hint as usize);
-        }
-        self.hasher
-            .hash_range_into(v, cur, n, &mut self.sigs[id as usize]);
-        self.total += (n - cur) as u64;
-    }
-
-    fn len(&self, id: u32) -> u32 {
-        self.sigs[id as usize].len() as u32
-    }
-
-    fn agreements(&self, a: u32, b: u32, lo: u32, hi: u32) -> u32 {
-        count_int_agreements(&self.sigs[a as usize], &self.sigs[b as usize], lo, hi)
-    }
-
-    fn agreements_batched(&self, a: u32, others: &[u32], lo: u32, hi: u32, out: &mut Vec<u32>) {
-        count_int_agreements_batched(
-            &self.sigs[a as usize],
-            others.iter().map(|&b| self.sigs[b as usize].as_slice()),
-            lo,
-            hi,
-            out,
-        );
-    }
-
-    fn total_hashes(&self) -> u64 {
-        self.total
-    }
-
-    fn depth_hint(&mut self, n: u32) {
-        self.hint = self.hint.max(n);
-    }
-}
+/// Integer bucket signatures from p-stable quantized projections (L2): the
+/// generic [`Signatures`] pool over an [`E2lshHasher`], one bucket per
+/// stored word, counted by the same integer-agreement kernel as minhash.
+pub type ProjSignatures = Signatures<E2lshHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -771,82 +526,5 @@ mod tests {
         w.put_u64(0).unwrap();
         let bytes = w.into_inner();
         assert!(E2lshHasher::read_wire(&mut WireReader::new(&bytes[..]), 1, 64).is_err());
-    }
-
-    #[test]
-    fn pool_par_ensure_matches_serial_and_wire_round_trips() {
-        let mut rng = Xoshiro256::seed_from_u64(66);
-        let mut data = Dataset::new(64);
-        for _ in 0..6 {
-            data.push(random_dense_vector(64, &mut rng));
-        }
-        let mut serial = ProjSignatures::new(E2lshHasher::new(64, 23, 2.0), data.len());
-        for (id, v) in data.iter() {
-            serial.ensure(id, v, 100);
-        }
-        serial.ensure(2, data.vector(2), 300);
-        for threads in [1usize, 3, 8] {
-            let mut par = ProjSignatures::new(E2lshHasher::new(64, 23, 2.0), data.len());
-            let ids: Vec<u32> = (0..data.len() as u32).collect();
-            par.par_ensure_ids(&data, &ids, 100, threads);
-            // Single-id extension exercises the range-split path.
-            par.par_ensure_ids(&data, &[2], 300, threads);
-            assert_eq!(par.total_hashes(), serial.total_hashes());
-            for id in 0..data.len() as u32 {
-                assert_eq!(par.raw(id), serial.raw(id), "id {id} threads {threads}");
-            }
-        }
-        // Wire round trip preserves signatures and extends identically.
-        let mut w = WireWriter::new(Vec::new());
-        serial.write_wire(&mut w).unwrap();
-        let payload = w.into_inner();
-        let mut r = WireReader::new(&payload[..]);
-        let mut back = ProjSignatures::read_wire(&mut r, 2, 100).unwrap();
-        assert_eq!(r.bytes_read(), payload.len() as u64);
-        assert_eq!(back.total_hashes(), serial.total_hashes());
-        for id in 0..data.len() as u32 {
-            assert_eq!(back.raw(id), serial.raw(id), "id {id}");
-        }
-        back.ensure(1, data.vector(1), 256);
-        serial.ensure(1, data.vector(1), 256);
-        assert_eq!(back.raw(1), serial.raw(1));
-        // Corrupt accounting is rejected.
-        let mut bad = payload.clone();
-        let at = bad.len() - 8;
-        bad[at] ^= 1;
-        assert!(ProjSignatures::read_wire(&mut WireReader::new(&bad[..]), 1, 100).is_err());
-    }
-
-    #[test]
-    fn pool_agreements_and_external_paths() {
-        let mut rng = Xoshiro256::seed_from_u64(67);
-        let x = random_dense_vector(32, &mut rng);
-        let y = random_dense_vector(32, &mut rng);
-        let mut pool = ProjSignatures::new(E2lshHasher::new(32, 31, 2.0), 2);
-        pool.ensure(0, &x, 128);
-        pool.ensure(1, &y, 128);
-        assert_eq!(pool.len(0), 128);
-        assert_eq!(pool.agreements(0, 0, 0, 128), 128);
-        let naive = (0..128)
-            .filter(|&i| pool.raw(0)[i] == pool.raw(1)[i])
-            .count() as u32;
-        assert_eq!(pool.agreements(0, 1, 0, 128), naive);
-        let mut batched = Vec::new();
-        pool.agreements_batched(0, &[1, 0], 16, 100, &mut batched);
-        assert_eq!(batched, vec![pool.agreements(0, 1, 16, 100), 100 - 16]);
-        // External hashing matches the pooled stream and the ready path.
-        let mut expect = Vec::new();
-        pool.hash_external(&x, 0, 128, &mut expect);
-        assert_eq!(&expect[..], pool.raw(0));
-        assert!(pool.external_ready(128));
-        for threads in [1usize, 2, 8] {
-            assert_eq!(pool.hash_external_ready(&x, 128, threads), expect);
-            assert_eq!(pool.hash_external_par(&x, 128, threads), expect);
-        }
-        // Clear releases accounting.
-        let before = pool.total_hashes();
-        pool.clear(0);
-        assert_eq!(pool.len(0), 0);
-        assert_eq!(pool.total_hashes(), before - 128);
     }
 }

@@ -19,12 +19,17 @@
 //! [`family::FamilyConfig`]), which is what the Bayesian verifiers
 //! consume — any family exposing the monotone map rides them unchanged.
 //!
-//! All families are exposed through lazily extendable *signature pools*
-//! ([`signature::BitSignatures`], [`signature::IntSignatures`],
-//! [`e2lsh::ProjSignatures`]): BayesLSH hashes each object only as deep as
-//! its surviving candidate pairs require, which is one of the paper's
-//! selling points ("each point in the dataset is only hashed as many times
-//! as is necessary").
+//! All families are exposed through one lazily extendable *signature
+//! pool*, [`signature::Signatures`]: BayesLSH hashes each object only as
+//! deep as its surviving candidate pairs require, which is one of the
+//! paper's selling points ("each point in the dataset is only hashed as
+//! many times as is necessary"). A family plugs in through the small
+//! [`signature::PoolHasher`] trait (storage granularity, bank growth,
+//! range hashing, agreement counting, snapshot header), and
+//! [`signature::BitSignatures`], [`signature::IntSignatures`] and
+//! [`e2lsh::ProjSignatures`] name the pool over each family's hasher.
+//! [`bbit::BbitSignatures`], whose bits per hash are a runtime value,
+//! keeps its own storage.
 //!
 //! The [`quantized`] module implements the paper's §4.3 trick of storing
 //! each Gaussian plane component in 2 bytes.
@@ -48,6 +53,7 @@ pub use minhash::{MinHasher, MinScratch};
 pub use mips::MipsTransform;
 pub use signature::{
     count_bit_agreements, count_bit_agreements_batched, count_int_agreements,
-    count_int_agreements_batched, BitSignatures, IntSignatures, SignaturePool,
+    count_int_agreements_batched, BitSignatures, IntSignatures, PoolHasher, SignaturePool,
+    Signatures,
 };
 pub use srp::{cos_to_r, generate_plane, r_to_cos, SrpHasher, SrpScratch};

@@ -6,11 +6,16 @@
 //! surviving pair has demanded, and extends on request. This mirrors the
 //! paper's observation that "outlying points ... need only be hashed a few
 //! times".
+//!
+//! The pool is written once, as [`Signatures`], generic over a
+//! [`PoolHasher`]; the per-family pools are aliases of it
+//! ([`BitSignatures`], [`IntSignatures`], [`crate::ProjSignatures`]).
 
 use bayeslsh_numeric::fan_out;
 use bayeslsh_numeric::wire::{WireError, WireReader, WireWriter};
 use bayeslsh_sparse::{Dataset, SparseVector};
 
+use crate::e2lsh::{E2lshHasher, E2lshScratch};
 use crate::minhash::{MinHasher, MinScratch};
 use crate::srp::{SrpHasher, SrpScratch};
 
@@ -199,331 +204,234 @@ pub trait SignaturePool {
 
 /// First occurrence of each id in `ids`, in order — parallel extension
 /// must process an id exactly once (two workers splicing the same slot
-/// would append the range twice). Shared with the crate's other pools
-/// (`ProjSignatures`), whose `par_ensure_ids` carries the same contract.
-pub(crate) fn dedup_ids(ids: &[u32]) -> impl Iterator<Item = u32> + '_ {
+/// would append the range twice).
+fn dedup_ids(ids: &[u32]) -> impl Iterator<Item = u32> + '_ {
     let mut seen = std::collections::HashSet::with_capacity(ids.len());
     ids.iter().copied().filter(move |&id| seen.insert(id))
 }
 
-/// Bit signatures from signed random projections, packed 32 per word.
-#[derive(Debug, Clone)]
-pub struct BitSignatures {
-    hasher: SrpHasher,
-    words: Vec<Vec<u32>>,
-    bits: Vec<u32>,
-    total: u64,
-    /// Depth hint (bits) for up-front signature reservation.
-    hint: u32,
-}
+/// What a [`Signatures`] pool needs from its hash family: how hashes are
+/// stored, how the hash-function bank grows, range hashing, agreement
+/// counting over stored words, and the hasher's snapshot header.
+///
+/// Every hash is a pure function of `(seed, position, vector)`, so the
+/// `&mut self` and `&self` range paths, and bank growth at any thread
+/// count, produce identical words.
+pub trait PoolHasher: Sized + Sync {
+    /// Hashes stored per `u32` word: 32 for packed sign bits, 1 for
+    /// integer hashes. Signatures grow in whole words, so every stored
+    /// depth is a multiple of this.
+    const PER_WORD: u32;
 
-impl BitSignatures {
-    /// A pool for `n_objects` objects hashing through `hasher`.
-    pub fn new(hasher: SrpHasher, n_objects: usize) -> Self {
-        Self {
-            hasher,
-            words: vec![Vec::new(); n_objects],
-            bits: vec![0; n_objects],
-            total: 0,
-            hint: 0,
-        }
-    }
+    /// Per-worker scratch for [`PoolHasher::hash_range`].
+    type Scratch: Default;
 
-    /// The raw packed words of `id`'s signature.
-    pub fn raw_words(&self, id: u32) -> &[u32] {
-        &self.words[id as usize]
-    }
+    /// Number of hash functions materialized so far.
+    fn bank_len(&self) -> usize;
 
-    /// Number of object slots the pool holds (hashed or not).
-    pub fn n_objects(&self) -> usize {
-        self.words.len()
-    }
+    /// Materialize hash functions `0..n` with up to `threads` workers.
+    fn grow_bank(&mut self, n: usize, threads: usize);
 
-    /// Bit `i` of object `id`'s signature.
-    pub fn bit(&self, id: u32, i: u32) -> bool {
-        debug_assert!(i < self.bits[id as usize]);
-        (self.words[id as usize][(i / 32) as usize] >> (i % 32)) & 1 == 1
-    }
+    /// Append hashes `lo..hi` of `v` to the stored words `out` (which
+    /// hold exactly hashes `0..lo`), materializing functions as needed.
+    fn hash_append(&mut self, v: &SparseVector, lo: u32, hi: u32, out: &mut Vec<u32>);
 
-    /// Borrow the underlying hasher (e.g. for plane-memory accounting).
-    pub fn hasher(&self) -> &SrpHasher {
-        &self.hasher
-    }
+    /// Hashes `lo..hi` of `v` as fresh stored words, through `&self`:
+    /// the range is word-aligned and the bank already covers `hi`.
+    fn hash_range(
+        &self,
+        v: &SparseVector,
+        lo: u32,
+        hi: u32,
+        scratch: &mut Self::Scratch,
+    ) -> Vec<u32>;
 
-    /// Hash an out-of-pool vector (e.g. an ad-hoc query) through the same
-    /// plane bank, extending `words` with bits `lo..hi` (rounded up to
-    /// whole words). The caller owns the returned signature; comparisons
-    /// against pool members go through [`count_bit_agreements`]. External
-    /// hashes are not counted in [`SignaturePool::total_hashes`], which
-    /// tracks corpus signatures only.
-    pub fn hash_external(&mut self, v: &SparseVector, lo: u32, hi: u32, words: &mut Vec<u32>) {
-        let target = hi.div_ceil(32) * 32;
-        self.hasher.hash_bits_into(v, lo, target, words);
-    }
+    /// Count agreeing hashes in positions `lo..hi` of two stored
+    /// signatures.
+    fn count(a: &[u32], b: &[u32], lo: u32, hi: u32) -> u32;
 
-    /// Make room for objects `0..n_objects`, keeping existing signatures.
-    /// Supports corpora that grow after pool construction (incremental
-    /// insertion into a standing index).
-    pub fn grow_to(&mut self, n_objects: usize) {
-        if self.words.len() < n_objects {
-            self.words.resize(n_objects, Vec::new());
-            self.bits.resize(n_objects, 0);
-        }
-    }
+    /// [`PoolHasher::count`] of `probe` against each signature in
+    /// `batch`, one count per entry into `out` (cleared first).
+    fn count_batched<'a, I>(probe: &[u32], batch: I, lo: u32, hi: u32, out: &mut Vec<u32>)
+    where
+        I: IntoIterator<Item = &'a [u32]>;
 
-    /// Extend the signatures of `ids` to at least `n` bits with up to
-    /// `threads` workers: the id list is chunked, each chunk hashed
-    /// per-thread through the shared (read-only, pre-materialized) plane
-    /// bank, and the buffers spliced back into the pool in index order.
-    /// Pool state afterwards is bit-identical to calling
-    /// [`SignaturePool::ensure`] for each id serially (duplicate ids in
-    /// the list are extended once, like repeated `ensure` calls). A single
-    /// id with a deep target (e.g. an insert) is instead split across its
-    /// word range, so even one-object extensions fan out.
-    pub fn par_ensure_ids(&mut self, data: &Dataset, ids: &[u32], n: u32, threads: usize) {
-        let target = n.div_ceil(32) * 32;
-        self.grow_to(data.len());
-        let work: Vec<(u32, u32)> = dedup_ids(ids)
-            .filter(|&id| self.bits[id as usize] < target)
-            .map(|id| (id, self.bits[id as usize]))
-            .collect();
-        if work.is_empty() {
-            return;
-        }
-        self.hasher.ensure_planes_par(target as usize, threads);
-        if work.len() == 1 {
-            let (id, cur) = work[0];
-            let v = data.vector(id);
-            let hasher = &self.hasher;
-            let chunks = fan_out(((target - cur) / 32) as usize, threads, |_, r| {
-                let mut scratch = SrpScratch::new();
-                hasher.hash_bits_packed_with(
-                    v,
-                    cur + 32 * r.start as u32,
-                    cur + 32 * r.end as u32,
-                    &mut scratch,
-                )
-            });
-            let slot = &mut self.words[id as usize];
-            for c in chunks {
-                slot.extend(c);
-            }
-            self.bits[id as usize] = target;
-            self.total += (target - cur) as u64;
-            return;
-        }
-        let hasher = &self.hasher;
-        let work_ref = &work;
-        let chunks = fan_out(work.len(), threads, |_, r| {
-            // One projection scratch per worker, reused across its ids.
-            let mut scratch = SrpScratch::new();
-            work_ref[r]
-                .iter()
-                .map(|&(id, cur)| {
-                    hasher.hash_bits_packed_with(data.vector(id), cur, target, &mut scratch)
-                })
-                .collect::<Vec<_>>()
-        });
-        for (&(id, cur), buf) in work.iter().zip(chunks.into_iter().flatten()) {
-            self.words[id as usize].extend(buf);
-            self.bits[id as usize] = target;
-            self.total += (target - cur) as u64;
-        }
-    }
+    /// Write the hasher's snapshot header (its seed and shape, never the
+    /// bank itself).
+    fn write_header<W: std::io::Write>(&self, w: &mut WireWriter<W>) -> Result<(), WireError>;
 
-    /// Serialize the pool (hasher metadata + every signature) for an index
-    /// snapshot. Signature words are written verbatim, so the loaded pool's
-    /// comparisons are bit-identical; the hasher's plane bank is re-derived
-    /// from its seed on load (see [`SrpHasher::write_wire`]).
-    pub fn write_wire<W: std::io::Write>(&self, w: &mut WireWriter<W>) -> Result<(), WireError> {
-        self.hasher.write_wire(w)?;
-        w.put_u64(self.words.len() as u64)?;
-        for (words, &bits) in self.words.iter().zip(&self.bits) {
-            debug_assert_eq!(words.len(), bits.div_ceil(32) as usize);
-            w.put_u32(bits)?;
-            for &word in words {
-                w.put_u32(word)?;
-            }
-        }
-        w.put_u64(self.total)?;
-        Ok(())
-    }
-
-    /// Deserialize a pool written by [`BitSignatures::write_wire`],
-    /// rematerializing the hasher's planes with up to `threads` workers.
-    /// The hashing-cost accounting is validated against the per-object
-    /// depths, so an internally inconsistent payload is rejected.
-    ///
-    /// Plane regeneration is bounded by `max(deepest stored signature,
-    /// depth_hint)`, never by the payload's recorded plane count alone: the
-    /// stored signatures physically occupy wire bytes, and the hint is
-    /// something the caller has validated (the snapshot loader passes the
-    /// build-depth it recomputed from the config) — so a crafted count
-    /// cannot make loading allocate or compute unboundedly. Any
-    /// legitimately deeper planes regenerate lazily, bit-identically.
-    pub fn read_wire<R: std::io::Read>(
+    /// Read a header written by [`PoolHasher::write_header`],
+    /// materializing at most `max_functions` functions with up to
+    /// `threads` workers.
+    fn read_header<R: std::io::Read>(
         r: &mut WireReader<R>,
         threads: usize,
-        depth_hint: u32,
+        max_functions: usize,
+    ) -> Result<Self, WireError>;
+}
+
+impl PoolHasher for SrpHasher {
+    const PER_WORD: u32 = 32;
+    type Scratch = SrpScratch;
+
+    fn bank_len(&self) -> usize {
+        self.planes_ready()
+    }
+
+    fn grow_bank(&mut self, n: usize, threads: usize) {
+        self.ensure_planes_par(n, threads);
+    }
+
+    fn hash_append(&mut self, v: &SparseVector, lo: u32, hi: u32, out: &mut Vec<u32>) {
+        self.hash_bits_into(v, lo, hi, out);
+    }
+
+    fn hash_range(&self, v: &SparseVector, lo: u32, hi: u32, scratch: &mut SrpScratch) -> Vec<u32> {
+        self.hash_bits_packed_with(v, lo, hi, scratch)
+    }
+
+    fn count(a: &[u32], b: &[u32], lo: u32, hi: u32) -> u32 {
+        count_bit_agreements(a, b, lo, hi)
+    }
+
+    fn count_batched<'a, I>(probe: &[u32], batch: I, lo: u32, hi: u32, out: &mut Vec<u32>)
+    where
+        I: IntoIterator<Item = &'a [u32]>,
+    {
+        count_bit_agreements_batched(probe, batch, lo, hi, out);
+    }
+
+    fn write_header<W: std::io::Write>(&self, w: &mut WireWriter<W>) -> Result<(), WireError> {
+        self.write_wire(w)
+    }
+
+    fn read_header<R: std::io::Read>(
+        r: &mut WireReader<R>,
+        threads: usize,
+        max_functions: usize,
     ) -> Result<Self, WireError> {
-        let mut hasher = SrpHasher::read_wire(r, threads, depth_hint as usize)?;
-        let n = r.get_u64()?;
-        let mut words = Vec::with_capacity(n.min(65_536) as usize);
-        let mut bits = Vec::with_capacity(n.min(65_536) as usize);
-        let mut sum = 0u64;
-        let mut deepest = 0u32;
-        for slot in 0..n {
-            let b = r.get_u32()?;
-            if b % 32 != 0 {
-                return Err(WireError::corrupt(format!(
-                    "signature {slot} has non-word-aligned depth {b}"
-                )));
-            }
-            let mut buf = Vec::with_capacity(((b / 32) as usize).min(65_536));
-            for _ in 0..b / 32 {
-                buf.push(r.get_u32()?);
-            }
-            sum += b as u64;
-            deepest = deepest.max(b);
-            words.push(buf);
-            bits.push(b);
-        }
-        let total = r.get_u64()?;
-        if total != sum {
-            return Err(WireError::corrupt(format!(
-                "hash accounting {total} disagrees with stored depths {sum}"
-            )));
-        }
-        // Lazily-deepened signatures can outrun the build depth; their
-        // words are physically present above, so this warm-up is bounded
-        // by the payload size.
-        hasher.ensure_planes_par(deepest as usize, threads);
-        Ok(Self {
-            hasher,
-            words,
-            bits,
-            total,
-            hint: 0,
-        })
-    }
-
-    /// Hash an out-of-pool vector to `n` bits (rounded up to whole words)
-    /// with up to `threads` workers, splitting the hash range word-aligned.
-    /// Bit-identical to [`BitSignatures::hash_external`] over `0..n`.
-    pub fn hash_external_par(&mut self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
-        let target = n.div_ceil(32) * 32;
-        self.hasher.ensure_planes_par(target as usize, threads);
-        self.hash_external_ready(v, n, threads)
-    }
-
-    /// Whether [`BitSignatures::hash_external_ready`] can serve `n` bits
-    /// right now — i.e. the plane bank already covers the word-rounded
-    /// target, so hashing needs no `&mut self`.
-    pub fn external_ready(&self, n: u32) -> bool {
-        let target = n.div_ceil(32) * 32;
-        self.hasher.planes_ready() >= target as usize
-    }
-
-    /// Materialize the plane bank for `n`-bit external hashing up front, so
-    /// subsequent [`BitSignatures::hash_external_ready`] calls work through
-    /// `&self` (the shared-reader serving path).
-    pub fn prepare_external(&mut self, n: u32, threads: usize) {
-        let target = n.div_ceil(32) * 32;
-        self.hasher.ensure_planes_par(target as usize, threads);
-    }
-
-    /// Read-only external hashing: identical output to
-    /// [`BitSignatures::hash_external_par`], but through `&self`. The plane
-    /// bank must already cover `n` bits ([`BitSignatures::external_ready`]);
-    /// many reader threads may call this concurrently.
-    pub fn hash_external_ready(&self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
-        let target = n.div_ceil(32) * 32;
-        debug_assert!(self.external_ready(n), "plane bank not prepared");
-        let hasher = &self.hasher;
-        let chunks = fan_out((target / 32) as usize, threads, |_, r| {
-            let mut scratch = SrpScratch::new();
-            hasher.hash_bits_packed_with(v, 32 * r.start as u32, 32 * r.end as u32, &mut scratch)
-        });
-        chunks.into_iter().flatten().collect()
-    }
-
-    /// Drop object `id`'s signature and release its hashes from the cost
-    /// accounting (compaction of removed objects). The slot stays valid and
-    /// empty — identical to a never-hashed object — so the wire invariant
-    /// `total == Σ stored depths` is preserved.
-    pub fn clear(&mut self, id: u32) {
-        let slot = &mut self.words[id as usize];
-        slot.clear();
-        slot.shrink_to_fit();
-        self.total -= self.bits[id as usize] as u64;
-        self.bits[id as usize] = 0;
+        Self::read_wire(r, threads, max_functions)
     }
 }
 
-impl SignaturePool for BitSignatures {
-    fn ensure(&mut self, id: u32, v: &SparseVector, n: u32) {
-        let cur = self.bits[id as usize];
-        let target = n.div_ceil(32) * 32;
-        if target <= cur {
-            return;
-        }
-        let slot = &mut self.words[id as usize];
-        if cur == 0 && slot.capacity() == 0 && self.hint > target {
-            // First extension: allocate the advised full depth once.
-            slot.reserve_exact(self.hint.div_ceil(32) as usize);
-        }
-        self.hasher.hash_bits_into(v, cur, target, slot);
-        self.bits[id as usize] = target;
-        self.total += (target - cur) as u64;
+impl PoolHasher for MinHasher {
+    const PER_WORD: u32 = 1;
+    type Scratch = MinScratch;
+
+    fn bank_len(&self) -> usize {
+        self.functions_ready()
     }
 
-    fn len(&self, id: u32) -> u32 {
-        self.bits[id as usize]
+    /// Minhash functions are two keys each, so the bank grows serially.
+    fn grow_bank(&mut self, n: usize, _threads: usize) {
+        self.ensure_functions(n);
     }
 
-    fn agreements(&self, a: u32, b: u32, lo: u32, hi: u32) -> u32 {
-        debug_assert!(hi <= self.bits[a as usize], "a not hashed deep enough");
-        debug_assert!(hi <= self.bits[b as usize], "b not hashed deep enough");
-        count_bit_agreements(&self.words[a as usize], &self.words[b as usize], lo, hi)
+    fn hash_append(&mut self, v: &SparseVector, lo: u32, hi: u32, out: &mut Vec<u32>) {
+        self.hash_range_into(v, lo, hi, out);
     }
 
-    fn agreements_batched(&self, a: u32, others: &[u32], lo: u32, hi: u32, out: &mut Vec<u32>) {
-        debug_assert!(hi <= self.bits[a as usize], "a not hashed deep enough");
-        let probe = &self.words[a as usize];
-        count_bit_agreements_batched(
-            probe,
-            others.iter().map(|&b| {
-                debug_assert!(hi <= self.bits[b as usize], "b not hashed deep enough");
-                self.words[b as usize].as_slice()
-            }),
-            lo,
-            hi,
-            out,
-        );
+    fn hash_range(&self, v: &SparseVector, lo: u32, hi: u32, scratch: &mut MinScratch) -> Vec<u32> {
+        self.hash_range_packed_with(v, lo, hi, scratch)
     }
 
-    fn total_hashes(&self) -> u64 {
-        self.total
+    fn count(a: &[u32], b: &[u32], lo: u32, hi: u32) -> u32 {
+        count_int_agreements(a, b, lo, hi)
     }
 
-    fn depth_hint(&mut self, n: u32) {
-        self.hint = self.hint.max(n.div_ceil(32) * 32);
+    fn count_batched<'a, I>(probe: &[u32], batch: I, lo: u32, hi: u32, out: &mut Vec<u32>)
+    where
+        I: IntoIterator<Item = &'a [u32]>,
+    {
+        count_int_agreements_batched(probe, batch, lo, hi, out);
+    }
+
+    fn write_header<W: std::io::Write>(&self, w: &mut WireWriter<W>) -> Result<(), WireError> {
+        self.write_wire(w)
+    }
+
+    fn read_header<R: std::io::Read>(
+        r: &mut WireReader<R>,
+        _threads: usize,
+        max_functions: usize,
+    ) -> Result<Self, WireError> {
+        Self::read_wire(r, max_functions)
     }
 }
 
-/// Integer signatures from minwise hashing.
+impl PoolHasher for E2lshHasher {
+    const PER_WORD: u32 = 1;
+    type Scratch = E2lshScratch;
+
+    fn bank_len(&self) -> usize {
+        self.functions_ready()
+    }
+
+    fn grow_bank(&mut self, n: usize, threads: usize) {
+        self.ensure_functions_par(n, threads);
+    }
+
+    fn hash_append(&mut self, v: &SparseVector, lo: u32, hi: u32, out: &mut Vec<u32>) {
+        self.hash_range_into(v, lo, hi, out);
+    }
+
+    fn hash_range(
+        &self,
+        v: &SparseVector,
+        lo: u32,
+        hi: u32,
+        scratch: &mut E2lshScratch,
+    ) -> Vec<u32> {
+        self.hash_range_packed_with(v, lo, hi, scratch)
+    }
+
+    fn count(a: &[u32], b: &[u32], lo: u32, hi: u32) -> u32 {
+        count_int_agreements(a, b, lo, hi)
+    }
+
+    fn count_batched<'a, I>(probe: &[u32], batch: I, lo: u32, hi: u32, out: &mut Vec<u32>)
+    where
+        I: IntoIterator<Item = &'a [u32]>,
+    {
+        count_int_agreements_batched(probe, batch, lo, hi, out);
+    }
+
+    fn write_header<W: std::io::Write>(&self, w: &mut WireWriter<W>) -> Result<(), WireError> {
+        self.write_wire(w)
+    }
+
+    fn read_header<R: std::io::Read>(
+        r: &mut WireReader<R>,
+        threads: usize,
+        max_functions: usize,
+    ) -> Result<Self, WireError> {
+        Self::read_wire(r, threads, max_functions)
+    }
+}
+
+/// A lazily extendable signature pool over any [`PoolHasher`]: per
+/// object, the stored words of its signature, hashed only as deep as some
+/// caller has demanded. Depths grow in whole words
+/// ([`PoolHasher::PER_WORD`] hashes each).
 #[derive(Debug, Clone)]
-pub struct IntSignatures {
-    hasher: MinHasher,
+pub struct Signatures<H> {
+    hasher: H,
     sigs: Vec<Vec<u32>>,
     total: u64,
-    /// Depth hint (hashes) for up-front signature reservation.
+    /// Depth hint (hashes, word-rounded) for up-front signature
+    /// reservation.
     hint: u32,
 }
 
-impl IntSignatures {
+/// Bit signatures from signed random projections, packed 32 per word.
+pub type BitSignatures = Signatures<SrpHasher>;
+
+/// Integer signatures from minwise hashing.
+pub type IntSignatures = Signatures<MinHasher>;
+
+impl<H: PoolHasher> Signatures<H> {
     /// A pool for `n_objects` objects hashing through `hasher`.
-    pub fn new(hasher: MinHasher, n_objects: usize) -> Self {
+    pub fn new(hasher: H, n_objects: usize) -> Self {
         Self {
             hasher,
             sigs: vec![Vec::new(); n_objects],
@@ -532,7 +440,13 @@ impl IntSignatures {
         }
     }
 
-    /// The raw minhash values of `id`'s signature.
+    /// `n` rounded up to whole stored words.
+    fn round(n: u32) -> u32 {
+        n.div_ceil(H::PER_WORD) * H::PER_WORD
+    }
+
+    /// The stored words of `id`'s signature: packed sign bits (32 per
+    /// word, LSB-first) for SRP, one hash per word otherwise.
     pub fn raw(&self, id: u32) -> &[u32] {
         &self.sigs[id as usize]
     }
@@ -542,19 +456,21 @@ impl IntSignatures {
         self.sigs.len()
     }
 
-    /// Borrow the underlying hasher.
-    pub fn hasher(&self) -> &MinHasher {
+    /// Borrow the underlying hasher (e.g. for its dimension or plane
+    /// memory).
+    pub fn hasher(&self) -> &H {
         &self.hasher
     }
 
     /// Hash an out-of-pool vector (e.g. an ad-hoc query) through the same
-    /// hash-function bank, extending `sigs` with hashes `lo..hi`.
-    /// Comparisons against pool members go through
-    /// [`count_int_agreements`]. External hashes are not counted in
-    /// [`SignaturePool::total_hashes`], which tracks corpus signatures
-    /// only.
-    pub fn hash_external(&mut self, v: &SparseVector, lo: u32, hi: u32, sigs: &mut Vec<u32>) {
-        self.hasher.hash_range_into(v, lo, hi, sigs);
+    /// hash-function bank, extending `out` with hashes `lo..hi` (rounded
+    /// up to whole words). The caller owns the returned signature;
+    /// comparisons against pool members go through
+    /// [`Signatures::external_agreements`]. External hashes are not
+    /// counted in [`SignaturePool::total_hashes`], which tracks corpus
+    /// signatures only.
+    pub fn hash_external(&mut self, v: &SparseVector, lo: u32, hi: u32, out: &mut Vec<u32>) {
+        self.hasher.hash_append(v, lo, Self::round(hi), out);
     }
 
     /// Make room for objects `0..n_objects`, keeping existing signatures.
@@ -566,95 +482,112 @@ impl IntSignatures {
         }
     }
 
+    /// Hashes `lo..hi` of `v` (a word-aligned range, bank ready) with the
+    /// range split word-aligned across up to `threads` workers.
+    fn hash_split(&self, v: &SparseVector, lo: u32, hi: u32, threads: usize) -> Vec<u32> {
+        let per = H::PER_WORD;
+        let chunks = fan_out(((hi - lo) / per) as usize, threads, |_, r| {
+            let mut scratch = H::Scratch::default();
+            let (a, b) = (lo + per * r.start as u32, lo + per * r.end as u32);
+            self.hasher.hash_range(v, a, b, &mut scratch)
+        });
+        chunks.concat()
+    }
+
     /// Extend the signatures of `ids` to at least `n` hashes with up to
-    /// `threads` workers; see [`BitSignatures::par_ensure_ids`] for the
-    /// chunk/splice contract (pool state is identical to serial `ensure`
-    /// calls, duplicates included).
+    /// `threads` workers: the id list is chunked, each chunk hashed
+    /// per-thread through the shared (read-only, pre-materialized) bank,
+    /// and the buffers spliced back into the pool in index order. Pool
+    /// state afterwards is identical to calling
+    /// [`SignaturePool::ensure`] for each id serially (duplicate ids in
+    /// the list are extended once, like repeated `ensure` calls). A single
+    /// id with a deep target (e.g. an insert) is instead split across its
+    /// word range, so even one-object extensions fan out.
     pub fn par_ensure_ids(&mut self, data: &Dataset, ids: &[u32], n: u32, threads: usize) {
+        let target = Self::round(n);
         self.grow_to(data.len());
         let work: Vec<(u32, u32)> = dedup_ids(ids)
-            .filter(|&id| (self.sigs[id as usize].len() as u32) < n)
-            .map(|id| (id, self.sigs[id as usize].len() as u32))
+            .map(|id| (id, self.len(id)))
+            .filter(|&(_, cur)| cur < target)
             .collect();
         if work.is_empty() {
             return;
         }
-        self.hasher.ensure_functions(n as usize);
-        if work.len() == 1 {
-            let (id, cur) = work[0];
-            let v = data.vector(id);
-            let hasher = &self.hasher;
-            let chunks = fan_out((n - cur) as usize, threads, |_, r| {
-                let mut scratch = MinScratch::new();
-                hasher.hash_range_packed_with(
-                    v,
-                    cur + r.start as u32,
-                    cur + r.end as u32,
-                    &mut scratch,
-                )
+        self.hasher.grow_bank(target as usize, threads);
+        let bufs: Vec<Vec<u32>> = if let [(id, cur)] = work[..] {
+            vec![self.hash_split(data.vector(id), cur, target, threads)]
+        } else {
+            let (hasher, work) = (&self.hasher, &work);
+            let chunks = fan_out(work.len(), threads, |_, r| {
+                // One scratch per worker, reused across its ids.
+                let mut scratch = H::Scratch::default();
+                work[r]
+                    .iter()
+                    .map(|&(id, cur)| hasher.hash_range(data.vector(id), cur, target, &mut scratch))
+                    .collect::<Vec<_>>()
             });
-            let slot = &mut self.sigs[id as usize];
-            for c in chunks {
-                slot.extend(c);
-            }
-            self.total += (n - cur) as u64;
-            return;
-        }
-        let hasher = &self.hasher;
-        let work_ref = &work;
-        let chunks = fan_out(work.len(), threads, |_, r| {
-            // One minima scratch per worker, reused across its ids.
-            let mut scratch = MinScratch::new();
-            work_ref[r]
-                .iter()
-                .map(|&(id, cur)| {
-                    hasher.hash_range_packed_with(data.vector(id), cur, n, &mut scratch)
-                })
-                .collect::<Vec<_>>()
-        });
-        for (&(id, cur), buf) in work.iter().zip(chunks.into_iter().flatten()) {
+            chunks.into_iter().flatten().collect()
+        };
+        for (&(id, cur), buf) in work.iter().zip(bufs) {
             self.sigs[id as usize].extend(buf);
-            self.total += (n - cur) as u64;
+            self.total += (target - cur) as u64;
         }
     }
 
-    /// Serialize the pool (hasher metadata + every signature) for an index
-    /// snapshot; see [`BitSignatures::write_wire`] for the contract.
+    /// Serialize the pool (hasher header + every signature) for an index
+    /// snapshot: per object its depth in hashes, then its stored words
+    /// verbatim (so the loaded pool's comparisons are bit-identical), then
+    /// the hash accounting. The hasher's bank is re-derived from its seed
+    /// on load.
     pub fn write_wire<W: std::io::Write>(&self, w: &mut WireWriter<W>) -> Result<(), WireError> {
-        self.hasher.write_wire(w)?;
+        self.hasher.write_header(w)?;
         w.put_u64(self.sigs.len() as u64)?;
-        for sig in &self.sigs {
-            w.put_u32(sig.len() as u32)?;
-            for &m in sig {
-                w.put_u32(m)?;
+        for words in &self.sigs {
+            w.put_u32(words.len() as u32 * H::PER_WORD)?;
+            for &word in words {
+                w.put_u32(word)?;
             }
         }
-        w.put_u64(self.total)?;
-        Ok(())
+        w.put_u64(self.total)
     }
 
-    /// Deserialize a pool written by [`IntSignatures::write_wire`],
-    /// validating the hashing-cost accounting against the stored depths.
-    /// Hash-function regeneration is bounded by `max(deepest stored
-    /// signature, depth_hint)` — see [`BitSignatures::read_wire`] for the
-    /// untrusted-input rationale.
+    /// Deserialize a pool written by [`Signatures::write_wire`],
+    /// rematerializing the hasher's bank with up to `threads` workers. A
+    /// depth that is not a whole number of words, or hash accounting that
+    /// disagrees with the stored depths, is rejected as
+    /// [`WireError::Corrupt`].
+    ///
+    /// Bank regeneration is bounded by `max(deepest stored signature,
+    /// depth_hint)`, never by the header's recorded bank size alone: the
+    /// stored signatures physically occupy wire bytes, and the hint is
+    /// something the caller has validated (the snapshot loader passes the
+    /// build depth it recomputed from the config) — so a crafted count
+    /// cannot make loading allocate or compute unboundedly. Any
+    /// legitimately deeper functions regenerate lazily, identically.
     pub fn read_wire<R: std::io::Read>(
         r: &mut WireReader<R>,
+        threads: usize,
         depth_hint: u32,
     ) -> Result<Self, WireError> {
-        let mut hasher = MinHasher::read_wire(r, depth_hint as usize)?;
+        let mut hasher = H::read_header(r, threads, depth_hint as usize)?;
         let n = r.get_u64()?;
         let mut sigs = Vec::with_capacity(n.min(65_536) as usize);
         let mut sum = 0u64;
         let mut deepest = 0u32;
-        for _ in 0..n {
-            let len = r.get_u32()?;
-            let mut sig = Vec::with_capacity(len.min(65_536) as usize);
-            for _ in 0..len {
+        for slot in 0..n {
+            let depth = r.get_u32()?;
+            if depth % H::PER_WORD != 0 {
+                return Err(WireError::corrupt(format!(
+                    "signature {slot} has non-word-aligned depth {depth}"
+                )));
+            }
+            let words = depth / H::PER_WORD;
+            let mut sig = Vec::with_capacity((words as usize).min(65_536));
+            for _ in 0..words {
                 sig.push(r.get_u32()?);
             }
-            sum += len as u64;
-            deepest = deepest.max(len);
+            sum += depth as u64;
+            deepest = deepest.max(depth);
             sigs.push(sig);
         }
         let total = r.get_u64()?;
@@ -663,7 +596,10 @@ impl IntSignatures {
                 "hash accounting {total} disagrees with stored depths {sum}"
             )));
         }
-        hasher.ensure_functions(deepest as usize);
+        // Lazily-deepened signatures can outrun the build depth; their
+        // words are physically present above, so this warm-up is bounded
+        // by the payload size.
+        hasher.grow_bank(deepest as usize, threads);
         Ok(Self {
             hasher,
             sigs,
@@ -672,86 +608,110 @@ impl IntSignatures {
         })
     }
 
-    /// Hash an out-of-pool vector to `n` minhashes with up to `threads`
-    /// workers, splitting the hash range. Identical to
-    /// [`IntSignatures::hash_external`] over `0..n`.
+    /// Hash an out-of-pool vector to `n` hashes (rounded up to whole
+    /// words) with up to `threads` workers, splitting the hash range
+    /// word-aligned. Identical to [`Signatures::hash_external`] over
+    /// `0..n`.
     pub fn hash_external_par(&mut self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
-        self.hasher.ensure_functions(n as usize);
+        self.prepare_external(n, threads);
         self.hash_external_ready(v, n, threads)
     }
 
-    /// Whether [`IntSignatures::hash_external_ready`] can serve `n` hashes
-    /// right now — i.e. the hash-function bank already covers the target,
+    /// Whether [`Signatures::hash_external_ready`] can serve `n` hashes
+    /// right now — i.e. the bank already covers the word-rounded target,
     /// so hashing needs no `&mut self`.
     pub fn external_ready(&self, n: u32) -> bool {
-        self.hasher.functions_ready() >= n as usize
+        self.hasher.bank_len() >= Self::round(n) as usize
     }
 
-    /// Materialize the hash-function bank for `n`-hash external hashing up
-    /// front, so subsequent [`IntSignatures::hash_external_ready`] calls
-    /// work through `&self` (the shared-reader serving path).
+    /// Materialize the bank for `n`-hash external hashing up front, so
+    /// subsequent [`Signatures::hash_external_ready`] calls work through
+    /// `&self` (the shared-reader serving path).
     pub fn prepare_external(&mut self, n: u32, threads: usize) {
-        let _ = threads;
-        self.hasher.ensure_functions(n as usize);
+        self.hasher.grow_bank(Self::round(n) as usize, threads);
     }
 
     /// Read-only external hashing: identical output to
-    /// [`IntSignatures::hash_external_par`], but through `&self`. The
-    /// hash-function bank must already cover `n`
-    /// ([`IntSignatures::external_ready`]); many reader threads may call
-    /// this concurrently.
+    /// [`Signatures::hash_external_par`], but through `&self`. The bank
+    /// must already cover `n` ([`Signatures::external_ready`]); many
+    /// reader threads may call this concurrently.
     pub fn hash_external_ready(&self, v: &SparseVector, n: u32, threads: usize) -> Vec<u32> {
         debug_assert!(self.external_ready(n), "hash-function bank not prepared");
-        let hasher = &self.hasher;
-        let chunks = fan_out(n as usize, threads, |_, r| {
-            let mut scratch = MinScratch::new();
-            hasher.hash_range_packed_with(v, r.start as u32, r.end as u32, &mut scratch)
+        self.hash_split(v, 0, Self::round(n), threads)
+    }
+
+    /// Count agreeing hashes in positions `lo..hi` between an external
+    /// signature `sig` (from [`Signatures::hash_external`] or its
+    /// parallel forms) and pool member `id`. Both must cover `hi`.
+    pub fn external_agreements(&self, sig: &[u32], id: u32, lo: u32, hi: u32) -> u32 {
+        debug_assert!(hi <= self.len(id), "{id} not hashed deep enough");
+        H::count(sig, self.raw(id), lo, hi)
+    }
+
+    /// [`Signatures::external_agreements`] of `sig` against each pool
+    /// member in `ids`, one count per id into `out` (cleared first). The
+    /// probe and the range's edge masks stay hoisted across the sweep.
+    pub fn external_agreements_batched(
+        &self,
+        sig: &[u32],
+        ids: &[u32],
+        lo: u32,
+        hi: u32,
+        out: &mut Vec<u32>,
+    ) {
+        let batch = ids.iter().map(|&id| {
+            debug_assert!(hi <= self.len(id), "{id} not hashed deep enough");
+            self.raw(id)
         });
-        chunks.into_iter().flatten().collect()
+        H::count_batched(sig, batch, lo, hi, out);
     }
 
     /// Drop object `id`'s signature and release its hashes from the cost
-    /// accounting (compaction of removed objects); see
-    /// [`BitSignatures::clear`].
+    /// accounting (compaction of removed objects). The slot stays valid and
+    /// empty — identical to a never-hashed object — so the wire invariant
+    /// `total == Σ stored depths` is preserved.
     pub fn clear(&mut self, id: u32) {
-        let slot = &mut self.sigs[id as usize];
-        self.total -= slot.len() as u64;
-        slot.clear();
-        slot.shrink_to_fit();
+        self.total -= self.len(id) as u64;
+        self.sigs[id as usize] = Vec::new();
     }
 }
 
-impl SignaturePool for IntSignatures {
+impl BitSignatures {
+    /// Bit `i` of object `id`'s signature.
+    pub fn bit(&self, id: u32, i: u32) -> bool {
+        debug_assert!(i < self.len(id));
+        (self.sigs[id as usize][(i / 32) as usize] >> (i % 32)) & 1 == 1
+    }
+}
+
+impl<H: PoolHasher> SignaturePool for Signatures<H> {
     fn ensure(&mut self, id: u32, v: &SparseVector, n: u32) {
-        let cur = self.sigs[id as usize].len() as u32;
-        if n <= cur {
+        let cur = self.len(id);
+        let target = Self::round(n);
+        if target <= cur {
             return;
         }
-        if cur == 0 && self.sigs[id as usize].capacity() == 0 && self.hint > n {
+        let slot = &mut self.sigs[id as usize];
+        if cur == 0 && slot.capacity() == 0 && self.hint > target {
             // First extension: allocate the advised full depth once.
-            self.sigs[id as usize].reserve_exact(self.hint as usize);
+            slot.reserve_exact((self.hint / H::PER_WORD) as usize);
         }
-        self.hasher
-            .hash_range_into(v, cur, n, &mut self.sigs[id as usize]);
-        self.total += (n - cur) as u64;
+        self.hasher.hash_append(v, cur, target, slot);
+        self.total += (target - cur) as u64;
     }
 
     fn len(&self, id: u32) -> u32 {
-        self.sigs[id as usize].len() as u32
+        self.sigs[id as usize].len() as u32 * H::PER_WORD
     }
 
     fn agreements(&self, a: u32, b: u32, lo: u32, hi: u32) -> u32 {
-        count_int_agreements(&self.sigs[a as usize], &self.sigs[b as usize], lo, hi)
+        debug_assert!(hi <= self.len(a), "a not hashed deep enough");
+        self.external_agreements(self.raw(a), b, lo, hi)
     }
 
     fn agreements_batched(&self, a: u32, others: &[u32], lo: u32, hi: u32, out: &mut Vec<u32>) {
-        count_int_agreements_batched(
-            &self.sigs[a as usize],
-            others.iter().map(|&b| self.sigs[b as usize].as_slice()),
-            lo,
-            hi,
-            out,
-        );
+        debug_assert!(hi <= self.len(a), "a not hashed deep enough");
+        self.external_agreements_batched(self.raw(a), others, lo, hi, out);
     }
 
     fn total_hashes(&self) -> u64 {
@@ -759,7 +719,7 @@ impl SignaturePool for IntSignatures {
     }
 
     fn depth_hint(&mut self, n: u32) {
-        self.hint = self.hint.max(n);
+        self.hint = self.hint.max(Self::round(n));
     }
 }
 
@@ -784,6 +744,34 @@ mod tests {
                 SparseVector::from_pairs(pairs)
             })
             .collect()
+    }
+
+    fn dataset(n: usize, dim: u32, len: usize, seed: u64) -> Dataset {
+        let mut data = Dataset::new(dim);
+        for v in vecs(n, dim, len, seed) {
+            data.push(v);
+        }
+        data
+    }
+
+    /// Hash `i` of a stored signature: one bit of a packed word for SRP,
+    /// one whole word otherwise.
+    fn slot<H: PoolHasher>(raw: &[u32], i: u32) -> u32 {
+        if H::PER_WORD == 32 {
+            (raw[(i / 32) as usize] >> (i % 32)) & 1
+        } else {
+            raw[i as usize]
+        }
+    }
+
+    /// Run the generic pool property `$check` once per hash family, each
+    /// hasher built from `(dim, seed)`.
+    macro_rules! for_each_hasher {
+        ($check:ident) => {{
+            $check(|dim, seed| SrpHasher::new(dim, seed));
+            $check(|_, seed| MinHasher::new(seed));
+            $check(|dim, seed| E2lshHasher::new(dim, seed, 2.0));
+        }};
     }
 
     #[test]
@@ -868,25 +856,23 @@ mod tests {
         assert_eq!(&pool.raw(0)[..16], &prefix[..]);
     }
 
-    #[test]
-    fn par_ensure_matches_serial_bit_pool() {
-        let vs = vecs(9, 120, 12, 21);
-        let mut data = Dataset::new(120);
-        for v in &vs {
-            data.push(v.clone());
-        }
-        let mut serial = BitSignatures::new(SrpHasher::new(120, 22), data.len());
+    fn par_ensure_matches_serial<H: PoolHasher>(make: impl Fn(u32, u64) -> H) {
+        let data = dataset(9, 120, 12, 21);
+        let mut serial = Signatures::new(make(120, 22), data.len());
         for (id, v) in data.iter() {
             serial.ensure(id, v, 96);
         }
         // Deepen a few, as lazy verification would.
         serial.ensure(3, data.vector(3), 256);
         serial.ensure(7, data.vector(7), 256);
-        for threads in [1usize, 2, 4, 8] {
-            let mut par = BitSignatures::new(SrpHasher::new(120, 22), data.len());
+        serial.ensure(2, data.vector(2), 300);
+        for threads in [1usize, 2, 3, 4, 8] {
+            let mut par = Signatures::new(make(120, 22), data.len());
             let ids: Vec<u32> = (0..data.len() as u32).collect();
             par.par_ensure_ids(&data, &ids, 96, threads);
             par.par_ensure_ids(&data, &[3, 7], 256, threads);
+            // Single-id extension exercises the range-split path.
+            par.par_ensure_ids(&data, &[2], 300, threads);
             assert_eq!(
                 par.total_hashes(),
                 serial.total_hashes(),
@@ -894,170 +880,91 @@ mod tests {
             );
             for id in 0..data.len() as u32 {
                 assert_eq!(par.len(id), serial.len(id));
-                assert_eq!(par.raw_words(id), serial.raw_words(id), "id {id}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_ensure_matches_serial_int_pool_and_single_id_split() {
-        let mut data = Dataset::new(500);
-        for i in 0..6u32 {
-            data.push(SparseVector::from_indices((i * 40..i * 40 + 25).collect()));
-        }
-        let mut serial = IntSignatures::new(MinHasher::new(23), data.len());
-        for (id, v) in data.iter() {
-            serial.ensure(id, v, 100);
-        }
-        serial.ensure(2, data.vector(2), 300);
-        for threads in [1usize, 3, 8] {
-            let mut par = IntSignatures::new(MinHasher::new(23), data.len());
-            let ids: Vec<u32> = (0..data.len() as u32).collect();
-            par.par_ensure_ids(&data, &ids, 100, threads);
-            // Single-id extension exercises the range-split path.
-            par.par_ensure_ids(&data, &[2], 300, threads);
-            assert_eq!(par.total_hashes(), serial.total_hashes());
-            for id in 0..data.len() as u32 {
                 assert_eq!(par.raw(id), serial.raw(id), "id {id} threads {threads}");
             }
         }
     }
 
     #[test]
-    fn par_ensure_tolerates_duplicate_ids() {
-        let vs = vecs(2, 64, 8, 77);
-        let mut data = Dataset::new(64);
-        for v in &vs {
-            data.push(v.clone());
-        }
-        let mut expect = BitSignatures::new(SrpHasher::new(64, 78), data.len());
-        expect.ensure(0, &vs[0], 64);
-        expect.ensure(1, &vs[1], 64);
+    fn par_ensure_matches_serial_and_splits_single_ids() {
+        for_each_hasher!(par_ensure_matches_serial);
+    }
+
+    fn duplicate_ids<H: PoolHasher>(make: impl Fn(u32, u64) -> H) {
+        let data = dataset(2, 64, 8, 77);
+        let mut expect = Signatures::new(make(64, 78), data.len());
+        expect.ensure(0, data.vector(0), 64);
+        expect.ensure(1, data.vector(1), 64);
         for threads in [1usize, 4] {
             // Repeats collapsing to two ids (splice path) and to one id
             // (range-split path) must both behave like serial ensures.
-            let mut pool = BitSignatures::new(SrpHasher::new(64, 78), data.len());
+            let mut pool = Signatures::new(make(64, 78), data.len());
             pool.par_ensure_ids(&data, &[0, 1, 0, 0, 1], 64, threads);
-            assert_eq!(pool.raw_words(0), expect.raw_words(0));
-            assert_eq!(pool.raw_words(1), expect.raw_words(1));
+            assert_eq!(pool.raw(0), expect.raw(0));
+            assert_eq!(pool.raw(1), expect.raw(1));
             assert_eq!(pool.total_hashes(), expect.total_hashes());
 
-            let mut pool = BitSignatures::new(SrpHasher::new(64, 78), data.len());
+            let mut pool = Signatures::new(make(64, 78), data.len());
             pool.par_ensure_ids(&data, &[0, 0, 0], 64, threads);
-            assert_eq!(pool.raw_words(0), expect.raw_words(0));
+            assert_eq!(pool.raw(0), expect.raw(0));
             assert_eq!(pool.len(1), 0);
         }
     }
 
     #[test]
-    fn par_external_hash_matches_serial() {
+    fn par_ensure_tolerates_duplicate_ids() {
+        for_each_hasher!(duplicate_ids);
+    }
+
+    fn par_external_hash<H: PoolHasher>(make: impl Fn(u32, u64) -> H) {
         let vs = vecs(1, 80, 15, 33);
-        let mut bits = BitSignatures::new(SrpHasher::new(80, 34), 1);
+        let mut pool = Signatures::new(make(80, 34), 1);
         let mut expect = Vec::new();
-        bits.hash_external(&vs[0], 0, 200, &mut expect);
+        pool.hash_external(&vs[0], 0, 200, &mut expect);
         for threads in [1usize, 2, 8] {
-            assert_eq!(bits.hash_external_par(&vs[0], 200, threads), expect);
+            assert_eq!(pool.hash_external_par(&vs[0], 200, threads), expect);
         }
-        let set = SparseVector::from_indices(vec![4, 9, 44, 70]);
-        let mut ints = IntSignatures::new(MinHasher::new(35), 1);
-        let mut expect = Vec::new();
-        ints.hash_external(&set, 0, 150, &mut expect);
-        for threads in [1usize, 2, 8] {
-            assert_eq!(ints.hash_external_par(&set, 150, threads), expect);
+    }
+
+    #[test]
+    fn par_external_hash_matches_serial() {
+        for_each_hasher!(par_external_hash);
+    }
+
+    fn wire_round_trip<H: PoolHasher>(make: impl Fn(u32, u64) -> H) {
+        // Non-uniform depths (the lazy-hashing shape) must survive, and a
+        // reloaded pool must extend signatures bit-identically to the
+        // original — the invariant insert-after-load rests on.
+        let data = dataset(4, 96, 10, 91);
+        let mut pool = Signatures::new(make(96, 92), data.len());
+        for (id, v) in data.iter() {
+            pool.ensure(id, v, 40 + 10 * id);
         }
+        pool.ensure(2, data.vector(2), 192);
+        let mut w = WireWriter::new(Vec::new());
+        pool.write_wire(&mut w).unwrap();
+        let payload = w.into_inner();
+        let mut r = WireReader::new(&payload[..]);
+        let mut back = Signatures::<H>::read_wire(&mut r, 2, 64).unwrap();
+        assert_eq!(r.bytes_read(), payload.len() as u64);
+        assert_eq!(back.total_hashes(), pool.total_hashes());
+        for id in 0..data.len() as u32 {
+            assert_eq!(back.len(id), pool.len(id));
+            assert_eq!(back.raw(id), pool.raw(id), "id {id}");
+        }
+        back.ensure(1, data.vector(1), 256);
+        pool.ensure(1, data.vector(1), 256);
+        assert_eq!(back.raw(1), pool.raw(1));
     }
 
     #[test]
     fn wire_round_trip_preserves_pools_and_supports_extension() {
-        // Non-uniform depths (the lazy-hashing shape) must survive, and a
-        // reloaded pool must extend signatures bit-identically to the
-        // original — the invariant insert-after-load rests on.
-        let vs = vecs(4, 96, 10, 91);
-        let mut data = Dataset::new(96);
-        for v in &vs {
-            data.push(v.clone());
-        }
-        let mut bits = BitSignatures::new(SrpHasher::new(96, 92), data.len());
-        for (id, v) in data.iter() {
-            bits.ensure(id, v, 64);
-        }
-        bits.ensure(2, data.vector(2), 192);
-        let mut w = WireWriter::new(Vec::new());
-        bits.write_wire(&mut w).unwrap();
-        let payload = w.into_inner();
-        let mut r = WireReader::new(&payload[..]);
-        let mut back = BitSignatures::read_wire(&mut r, 2, 64).unwrap();
-        assert_eq!(r.bytes_read(), payload.len() as u64);
-        assert_eq!(back.total_hashes(), bits.total_hashes());
-        for id in 0..data.len() as u32 {
-            assert_eq!(back.len(id), bits.len(id));
-            assert_eq!(back.raw_words(id), bits.raw_words(id), "id {id}");
-        }
-        back.ensure(1, data.vector(1), 256);
-        bits.ensure(1, data.vector(1), 256);
-        assert_eq!(back.raw_words(1), bits.raw_words(1));
-
-        let mut ints = IntSignatures::new(MinHasher::new(93), 3);
-        let sets = [
-            SparseVector::from_indices(vec![1, 5, 9]),
-            SparseVector::from_indices(vec![2, 5, 40]),
-            SparseVector::from_indices(vec![7]),
-        ];
-        for (id, s) in sets.iter().enumerate() {
-            ints.ensure(id as u32, s, 40 + 10 * id as u32);
-        }
-        let mut w = WireWriter::new(Vec::new());
-        ints.write_wire(&mut w).unwrap();
-        let payload = w.into_inner();
-        let mut back = IntSignatures::read_wire(&mut WireReader::new(&payload[..]), 40).unwrap();
-        assert_eq!(back.total_hashes(), ints.total_hashes());
-        for id in 0..3u32 {
-            assert_eq!(back.raw(id), ints.raw(id), "id {id}");
-        }
-        back.ensure(0, &sets[0], 100);
-        ints.ensure(0, &sets[0], 100);
-        assert_eq!(back.raw(0), ints.raw(0));
+        for_each_hasher!(wire_round_trip);
     }
 
-    #[test]
-    fn ready_external_hash_matches_mut_path_and_clear_releases_hashes() {
-        let vs = vecs(2, 80, 15, 51);
-        let mut bits = BitSignatures::new(SrpHasher::new(80, 52), 2);
-        assert!(!bits.external_ready(96));
-        bits.prepare_external(96, 2);
-        assert!(bits.external_ready(96) && bits.external_ready(33));
-        let mut expect = Vec::new();
-        bits.hash_external(&vs[0], 0, 96, &mut expect);
-        for threads in [1usize, 3] {
-            assert_eq!(bits.hash_external_ready(&vs[0], 96, threads), expect);
-        }
-        bits.ensure(0, &vs[0], 64);
-        bits.ensure(1, &vs[1], 96);
-        assert_eq!(bits.total_hashes(), 160);
-        bits.clear(0);
-        assert_eq!(bits.len(0), 0);
-        assert_eq!(bits.total_hashes(), 96);
-        // A cleared slot is indistinguishable from a never-hashed one.
-        bits.ensure(0, &vs[0], 64);
-        assert_eq!(bits.total_hashes(), 160);
-
-        let set = SparseVector::from_indices(vec![4, 9, 44, 70]);
-        let mut ints = IntSignatures::new(MinHasher::new(53), 2);
-        assert!(!ints.external_ready(50));
-        ints.prepare_external(50, 1);
-        assert!(ints.external_ready(50));
-        let mut expect = Vec::new();
-        ints.hash_external(&set, 0, 50, &mut expect);
-        assert_eq!(ints.hash_external_ready(&set, 50, 2), expect);
-        ints.ensure(0, &set, 40);
-        ints.clear(0);
-        assert_eq!((ints.len(0), ints.total_hashes()), (0, 0));
-    }
-
-    #[test]
-    fn wire_read_rejects_inconsistent_accounting() {
+    fn inconsistent_accounting<H: PoolHasher>(make: impl Fn(u32, u64) -> H) {
         let vs = vecs(1, 64, 6, 94);
-        let mut pool = BitSignatures::new(SrpHasher::new(64, 95), 1);
+        let mut pool = Signatures::new(make(64, 95), 1);
         pool.ensure(0, &vs[0], 64);
         let mut w = WireWriter::new(Vec::new());
         pool.write_wire(&mut w).unwrap();
@@ -1065,7 +972,100 @@ mod tests {
         // The trailing u64 is the total-hashes counter; nudge it.
         let at = payload.len() - 8;
         payload[at] ^= 1;
-        assert!(BitSignatures::read_wire(&mut WireReader::new(&payload[..]), 1, 64).is_err());
+        let read = Signatures::<H>::read_wire(&mut WireReader::new(&payload[..]), 1, 64);
+        assert!(matches!(read, Err(WireError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn wire_read_rejects_inconsistent_accounting() {
+        for_each_hasher!(inconsistent_accounting);
+    }
+
+    #[test]
+    fn wire_read_rejects_a_bit_depth_that_is_not_whole_words() {
+        let vs = vecs(1, 64, 6, 96);
+        let mut pool = BitSignatures::new(SrpHasher::new(64, 97), 1);
+        pool.ensure(0, &vs[0], 64);
+        let mut w = WireWriter::new(Vec::new());
+        pool.write_wire(&mut w).unwrap();
+        let mut payload = w.into_inner();
+        // The first depth follows the hasher header and the object count.
+        let mut header = WireWriter::new(Vec::new());
+        pool.hasher().write_header(&mut header).unwrap();
+        let at = header.into_inner().len() + 8;
+        assert_eq!(payload[at..at + 4], 64u32.to_le_bytes());
+        payload[at..at + 4].copy_from_slice(&65u32.to_le_bytes());
+        let read = BitSignatures::read_wire(&mut WireReader::new(&payload[..]), 1, 64);
+        assert!(matches!(read, Err(WireError::Corrupt { .. })));
+    }
+
+    fn ready_external_and_clear<H: PoolHasher>(make: impl Fn(u32, u64) -> H) {
+        let vs = vecs(2, 80, 15, 51);
+        let mut pool = Signatures::new(make(80, 52), 2);
+        assert!(!pool.external_ready(96));
+        pool.prepare_external(96, 2);
+        assert!(pool.external_ready(96) && pool.external_ready(33));
+        let mut expect = Vec::new();
+        pool.hash_external(&vs[0], 0, 96, &mut expect);
+        for threads in [1usize, 3] {
+            assert_eq!(pool.hash_external_ready(&vs[0], 96, threads), expect);
+        }
+        pool.ensure(0, &vs[0], 64);
+        pool.ensure(1, &vs[1], 96);
+        assert_eq!(pool.total_hashes(), 160);
+        pool.clear(0);
+        assert_eq!(pool.len(0), 0);
+        assert_eq!(pool.total_hashes(), 96);
+        // A cleared slot is indistinguishable from a never-hashed one.
+        pool.ensure(0, &vs[0], 64);
+        assert_eq!(pool.total_hashes(), 160);
+    }
+
+    #[test]
+    fn ready_external_hash_matches_mut_path_and_clear_releases_hashes() {
+        for_each_hasher!(ready_external_and_clear);
+    }
+
+    fn agreements_and_external<H: PoolHasher>(make: impl Fn(u32, u64) -> H) {
+        let vs = vecs(2, 32, 12, 67);
+        let mut pool = Signatures::new(make(32, 31), 2);
+        pool.ensure(0, &vs[0], 128);
+        pool.ensure(1, &vs[1], 128);
+        assert_eq!(pool.len(0), 128);
+        assert_eq!(pool.agreements(0, 0, 0, 128), 128);
+        let (ra, rb) = (pool.raw(0).to_vec(), pool.raw(1).to_vec());
+        let naive = |lo: u32, hi: u32| {
+            (lo..hi)
+                .filter(|&i| slot::<H>(&ra, i) == slot::<H>(&rb, i))
+                .count() as u32
+        };
+        assert_eq!(pool.agreements(0, 1, 0, 128), naive(0, 128));
+        let mut batched = Vec::new();
+        pool.agreements_batched(0, &[1, 0], 16, 100, &mut batched);
+        assert_eq!(batched, vec![naive(16, 100), 100 - 16]);
+        // External hashing reproduces the pooled stream, and external
+        // counting matches the in-pool counts.
+        let mut sig = Vec::new();
+        pool.hash_external(&vs[0], 0, 128, &mut sig);
+        assert_eq!(&sig[..], pool.raw(0));
+        assert!(pool.external_ready(128));
+        for threads in [1usize, 2, 8] {
+            assert_eq!(pool.hash_external_ready(&vs[0], 128, threads), sig);
+            assert_eq!(pool.hash_external_par(&vs[0], 128, threads), sig);
+        }
+        assert_eq!(pool.external_agreements(&sig, 1, 5, 77), naive(5, 77));
+        pool.external_agreements_batched(&sig, &[0, 1], 16, 100, &mut batched);
+        assert_eq!(batched, vec![100 - 16, naive(16, 100)]);
+        // Clear releases accounting.
+        let before = pool.total_hashes();
+        pool.clear(0);
+        assert_eq!(pool.len(0), 0);
+        assert_eq!(pool.total_hashes(), before - 128);
+    }
+
+    #[test]
+    fn agreements_and_external_paths_match_naive_counts() {
+        for_each_hasher!(agreements_and_external);
     }
 
     proptest! {

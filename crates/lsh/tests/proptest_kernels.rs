@@ -14,7 +14,7 @@ use bayeslsh_lsh::{
     count_bbit_agreements, count_bit_agreements, count_bit_agreements_batched,
     count_int_agreements, count_int_agreements_batched, generate_plane, generate_projection,
     quantized, BbitSignatures, BitSignatures, E2lshHasher, E2lshScratch, IntSignatures, MinHasher,
-    ProjSignatures, SignaturePool, SrpHasher, SrpScratch,
+    PoolHasher, SignaturePool, Signatures, SrpHasher, SrpScratch,
 };
 use bayeslsh_numeric::Xoshiro256;
 use bayeslsh_sparse::{Dataset, SparseVector};
@@ -96,6 +96,72 @@ fn bit_of(words: &[u32], i: u32) -> bool {
     (words[(i / 32) as usize] >> (i % 32)) & 1 == 1
 }
 
+/// Hash `i` of a stored signature: one bit of a packed word for SRP, one
+/// whole word otherwise.
+fn slot<H: PoolHasher>(raw: &[u32], i: u32) -> u32 {
+    if H::PER_WORD == 32 {
+        bit_of(raw, i) as u32
+    } else {
+        raw[i as usize]
+    }
+}
+
+/// One pool property for any hasher, over the two vectors of `data`:
+/// `ensure` in random increments (serial), `par_ensure_ids` in random
+/// increments with a repeated id (parallel), and a one-shot deep `ensure`
+/// under a depth hint all store the same words; every hash equals
+/// `oracle(i, v)`; and external hashing, in increments or in parallel,
+/// reproduces the pooled streams.
+fn check_pool_extension<H: PoolHasher>(
+    make: impl Fn() -> H,
+    mut oracle: impl FnMut(usize, &SparseVector) -> u32,
+    data: &Dataset,
+    total: u32,
+    threads: usize,
+    rng: &mut Xoshiro256,
+) {
+    let (va, vb) = (data.vector(0), data.vector(1));
+    let mut one_shot = Signatures::new(make(), 2);
+    one_shot.depth_hint(total); // hint must not change contents
+    one_shot.ensure(0, va, total);
+    one_shot.ensure(1, vb, total);
+    let mut serial = Signatures::new(make(), 2);
+    for (_, hi) in random_cuts(total, rng) {
+        serial.ensure(0, va, hi);
+    }
+    assert_eq!(serial.len(0), one_shot.len(0));
+    assert_eq!(serial.raw(0), one_shot.raw(0));
+    let mut par = Signatures::new(make(), 2);
+    for (_, hi) in random_cuts(total, rng) {
+        par.par_ensure_ids(data, &[0, 1, 0], hi, threads);
+    }
+    for id in 0..2u32 {
+        assert_eq!(par.len(id), one_shot.len(id));
+        assert_eq!(par.raw(id), one_shot.raw(id), "id {id}");
+    }
+    for i in 0..one_shot.len(0) {
+        assert_eq!(
+            slot::<H>(one_shot.raw(0), i),
+            oracle(i as usize, va),
+            "hash {i}"
+        );
+    }
+    // External queries ride the same bank: the chunked `hash_external`
+    // path and the parallel splice both reproduce the pool's stream.
+    let mut ext = Vec::new();
+    for (_, hi) in random_cuts(total, rng) {
+        let lo = ext.len() as u32 * H::PER_WORD;
+        if lo < hi {
+            par.hash_external(va, lo, hi, &mut ext);
+        }
+    }
+    assert_eq!(ext.as_slice(), par.raw(0));
+    assert_eq!(
+        par.hash_external_par(vb, total, threads).as_slice(),
+        par.raw(1)
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -155,36 +221,6 @@ proptest! {
         }
     }
 
-    /// Pool-level `ensure` in increments equals a one-shot deep `ensure`
-    /// and the oracle, across word-aligned and unaligned demands.
-    #[test]
-    fn bit_pool_extension_patterns_match_one_shot(
-        seed in 0u64..300,
-        total in 1u32..260,
-    ) {
-        let dim = 96;
-        let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xC3);
-        let v = random_vector(dim, 20, &mut rng);
-        let mut data = Dataset::new(dim);
-        data.push(v.clone());
-
-        let mut incremental = BitSignatures::new(SrpHasher::new(dim, seed), 1);
-        for (_, hi) in random_cuts(total, &mut rng) {
-            incremental.ensure(0, &v, hi);
-        }
-        let mut one_shot = BitSignatures::new(SrpHasher::new(dim, seed), 1);
-        one_shot.depth_hint(total); // hint must not change contents
-        one_shot.ensure(0, &v, total);
-        prop_assert_eq!(incremental.len(0), one_shot.len(0));
-        prop_assert_eq!(incremental.raw_words(0), one_shot.raw_words(0));
-        for i in 0..one_shot.len(0) {
-            prop_assert_eq!(
-                bit_of(one_shot.raw_words(0), i),
-                oracle_srp_bit(dim, seed, PlaneStorage::Quantized, i as usize, &v)
-            );
-        }
-    }
-
     /// Element-major minhash ranges equal the scalar per-slot path over
     /// arbitrary increments.
     #[test]
@@ -209,30 +245,6 @@ proptest! {
         let lo = rng.next_below(total as u64) as u32;
         let hi = lo + rng.next_below((total - lo) as u64 + 1) as u32;
         prop_assert_eq!(h.hash_range_packed(&v, lo, hi), &out[lo as usize..hi as usize]);
-    }
-
-    /// Int pool incremental `ensure` equals one-shot, and everything equals
-    /// the scalar path.
-    #[test]
-    fn int_pool_extension_patterns_match_one_shot(
-        seed in 0u64..300,
-        total in 1u32..260,
-    ) {
-        let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xE5);
-        let idxs: Vec<u32> = (0..1 + rng.next_below(30)).map(|_| rng.next_below(5_000) as u32).collect();
-        let v = SparseVector::from_indices(idxs);
-        let mut incremental = IntSignatures::new(MinHasher::new(seed), 1);
-        for (_, hi) in random_cuts(total, &mut rng) {
-            incremental.ensure(0, &v, hi);
-        }
-        let mut one_shot = IntSignatures::new(MinHasher::new(seed), 1);
-        one_shot.depth_hint(total);
-        one_shot.ensure(0, &v, total);
-        prop_assert_eq!(incremental.raw(0), one_shot.raw(0));
-        let mut scalar = MinHasher::new(seed);
-        for (i, &got) in one_shot.raw(0).iter().enumerate() {
-            prop_assert_eq!(got, scalar.hash(i, &v), "slot {}", i);
-        }
     }
 
     /// Word-parallel bit agreement counting — single-pair, batched free
@@ -261,13 +273,13 @@ proptest! {
         let naive = (lo..hi).filter(|&i| pool.bit(0, i) == pool.bit(1, i)).count() as u32;
         prop_assert_eq!(pool.agreements(0, 1, lo, hi), naive);
         prop_assert_eq!(
-            count_bit_agreements(pool.raw_words(0), pool.raw_words(1), lo, hi),
+            count_bit_agreements(pool.raw(0), pool.raw(1), lo, hi),
             naive
         );
         let mut out = Vec::new();
         count_bit_agreements_batched(
-            pool.raw_words(0),
-            [pool.raw_words(1), pool.raw_words(0)],
+            pool.raw(0),
+            [pool.raw(1), pool.raw(0)],
             lo,
             hi,
             &mut out,
@@ -417,46 +429,29 @@ proptest! {
         }
     }
 
-    /// Pool-level parallel `ensure` in increments equals a one-shot deep
-    /// pool, the external-query paths, and the oracle — whatever the
-    /// thread count or demand pattern.
+    /// Every pool family: serial and parallel `ensure` in random
+    /// increments equal a one-shot deep `ensure`, every stored hash equals
+    /// the family's scalar oracle, and external hashing reproduces the
+    /// pooled streams — whatever the thread count or demand pattern.
     #[test]
-    fn proj_pool_extension_patterns_match_one_shot(
+    fn pool_extension_patterns_match_one_shot(
         seed in 0u64..300,
         total in 1u32..260,
         threads in 1u32..5,
     ) {
-        let dim = 80;
-        let r = 2.0;
-        let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xEB);
-        let va = random_vector(dim, 18, &mut rng);
-        let vb = random_vector(dim, 18, &mut rng);
+        let (dim, r) = (96, 2.0);
+        let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xC3);
         let mut data = Dataset::new(dim);
-        data.push(va.clone());
-        data.push(vb.clone());
-
-        let mut incremental = ProjSignatures::new(E2lshHasher::new(dim, seed, r), 2);
-        for (_, hi) in random_cuts(total, &mut rng) {
-            incremental.par_ensure_ids(&data, &[0, 1, 0], hi, threads as usize);
-        }
-        let mut one_shot = ProjSignatures::new(E2lshHasher::new(dim, seed, r), 2);
-        one_shot.par_ensure_ids(&data, &[0, 1], total, 1);
-        for id in 0..2u32 {
-            prop_assert_eq!(incremental.raw(id), one_shot.raw(id), "id {}", id);
-        }
-        for (i, &got) in one_shot.raw(0).iter().enumerate() {
-            prop_assert_eq!(got, oracle_e2lsh_bucket(dim, seed, r, i, &va), "slot {}", i);
-        }
-        // External queries ride the same bank: the chunked `hash_external`
-        // path and the parallel splice both reproduce the pool's stream.
-        let mut ext = Vec::new();
-        for (lo, hi) in random_cuts(total, &mut rng) {
-            incremental.hash_external(&va, lo, hi, &mut ext);
-        }
-        prop_assert_eq!(ext.as_slice(), incremental.raw(0));
-        prop_assert_eq!(
-            incremental.hash_external_par(&vb, total, threads as usize).as_slice(),
-            incremental.raw(1)
-        );
+        data.push(random_vector(dim, 20, &mut rng));
+        data.push(random_vector(dim, 20, &mut rng));
+        let threads = threads as usize;
+        let srp_oracle =
+            |i, v: &SparseVector| oracle_srp_bit(dim, seed, PlaneStorage::Quantized, i, v) as u32;
+        check_pool_extension(|| SrpHasher::new(dim, seed), srp_oracle, &data, total, threads, &mut rng);
+        let mut scalar = MinHasher::new(seed);
+        let min_oracle = |i, v: &SparseVector| scalar.hash(i, v);
+        check_pool_extension(|| MinHasher::new(seed), min_oracle, &data, total, threads, &mut rng);
+        let e2_oracle = |i, v: &SparseVector| oracle_e2lsh_bucket(dim, seed, r, i, v);
+        check_pool_extension(|| E2lshHasher::new(dim, seed, r), e2_oracle, &data, total, threads, &mut rng);
     }
 }

@@ -342,8 +342,8 @@ pub use bayeslsh_sparse as sparse;
 /// The one-import API surface.
 pub mod prelude {
     pub use bayeslsh_candgen::{
-        all_pairs_cosine, all_pairs_jaccard, lsh_candidates_bits, lsh_candidates_ints,
-        ppjoin_binary_cosine, ppjoin_jaccard, BandingIndex, BandingParams, BandingPlan,
+        all_pairs_cosine, all_pairs_jaccard, lsh_candidates, ppjoin_binary_cosine, ppjoin_jaccard,
+        BandingIndex, BandingParams, BandingPlan,
     };
     pub use bayeslsh_core::pipeline::ground_truth;
     pub use bayeslsh_core::sprt_verify;
@@ -361,7 +361,8 @@ pub mod prelude {
     pub use bayeslsh_lsh::{
         bbit_collision_prob, bbit_to_jaccard, cos_to_r, e2lsh_collision, e2lsh_similarity_at,
         r_to_cos, BbitSignatures, BitSignatures, E2lshHasher, FamilyConfig, HashFamily,
-        IntSignatures, Measure, MinHasher, MipsTransform, ProjSignatures, SignaturePool, SrpHasher,
+        IntSignatures, Measure, MinHasher, MipsTransform, PoolHasher, ProjSignatures,
+        SignaturePool, Signatures, SrpHasher,
     };
     pub use bayeslsh_numeric::{BetaDist, Binomial, Parallelism, Xoshiro256};
     pub use bayeslsh_shard::{

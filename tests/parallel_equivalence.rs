@@ -132,25 +132,61 @@ fn jaccard_compositions_are_thread_count_invariant() {
     check_all_compositions(&data, || PipelineConfig::jaccard(0.5));
 }
 
+/// The LSH generator's ordered candidate list under `cfg` with no
+/// standing index: the streaming join at one thread, a transient
+/// band-sharded index above.
+fn one_shot_candidates(cfg: &PipelineConfig, data: &Dataset) -> Vec<(u32, u32)> {
+    let mut pool = SigPool::for_config(cfg, data);
+    let mut ctx = SearchContext {
+        data,
+        cfg,
+        pool: &mut pool,
+        index: None,
+    };
+    GeneratorKind::LshBanding.instantiate().generate(&mut ctx)
+}
+
 #[test]
 fn one_shot_runs_are_thread_count_invariant_too() {
-    // `run_composition` (transient pools, no standing index) goes through
-    // the same parallel layer; its output must not depend on the budget.
-    let data = corpus(503);
-    for verifier in [VerifierKind::Exact, VerifierKind::Mle, VerifierKind::Bayes] {
-        let comp = Composition::new(GeneratorKind::LshBanding, verifier);
-        let mut cfg = PipelineConfig::cosine(0.7);
+    // `run_composition` (transient pools, no standing index) joins through
+    // the streaming `lsh_candidates` at one thread and a transient index
+    // above; for every pool family, neither the candidate order nor the
+    // output may depend on the budget.
+    let raw = corpus(503);
+    let mips = MipsTransform::fit(&raw);
+    let families = [
+        (PipelineConfig::cosine(0.7), raw.clone()),
+        (PipelineConfig::jaccard(0.5), raw.binarized()),
+        (PipelineConfig::l2(0.2, 4.0), raw.clone()),
+        (PipelineConfig::mips(0.6), mips.transform_corpus(&raw)),
+    ];
+    for (mut cfg, data) in families {
+        let family = cfg.family;
         cfg.parallelism = Parallelism::serial();
-        let serial = run_composition(comp, &data, &cfg).unwrap();
+        let serial_cands = one_shot_candidates(&cfg, &data);
+        assert!(!serial_cands.is_empty(), "{family}: no candidates");
+        for verifier in [VerifierKind::Exact, VerifierKind::Mle, VerifierKind::Bayes] {
+            let comp = Composition::new(GeneratorKind::LshBanding, verifier);
+            cfg.parallelism = Parallelism::serial();
+            let serial = run_composition(comp, &data, &cfg).unwrap();
+            for threads in THREADS {
+                cfg.parallelism = Parallelism::threads(threads);
+                let par = run_composition(comp, &data, &cfg).unwrap();
+                assert_eq!(
+                    bits(&serial.pairs),
+                    bits(&par.pairs),
+                    "{family} {comp} threads={threads}"
+                );
+                assert_eq!(serial.candidates, par.candidates);
+            }
+        }
         for threads in THREADS {
             cfg.parallelism = Parallelism::threads(threads);
-            let par = run_composition(comp, &data, &cfg).unwrap();
             assert_eq!(
-                bits(&serial.pairs),
-                bits(&par.pairs),
-                "{comp} threads={threads}"
+                serial_cands,
+                one_shot_candidates(&cfg, &data),
+                "{family} candidate order, threads={threads}"
             );
-            assert_eq!(serial.candidates, par.candidates);
         }
     }
 }
