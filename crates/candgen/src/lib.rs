@@ -29,8 +29,7 @@ pub use allpairs::{
     all_pairs_cosine, all_pairs_cosine_candidates, all_pairs_jaccard, all_pairs_jaccard_candidates,
 };
 pub use lshindex::{
-    band_key_bits, band_key_ints, band_keys_bits, band_keys_ints, lsh_candidates, BandingIndex,
-    BandingParams, BandingPlan,
+    band_key_bits, band_key_ints, lsh_candidates, BandingIndex, BandingParams, BandingPlan,
 };
 pub use pairs::PairSet;
 pub use ppjoin::{ppjoin_binary_cosine, ppjoin_jaccard};

@@ -139,20 +139,6 @@ pub fn band_key_ints(sigs: &[u32], band: u32, k: u32) -> u64 {
     h.finish()
 }
 
-/// All `l` band keys of a bit signature.
-pub fn band_keys_bits(words: &[u32], params: BandingParams) -> Vec<u64> {
-    (0..params.l)
-        .map(|band| band_key_bits(words, band, params.k))
-        .collect()
-}
-
-/// All `l` band keys of an integer minhash signature.
-pub fn band_keys_ints(sigs: &[u32], params: BandingParams) -> Vec<u64> {
-    (0..params.l)
-        .map(|band| band_key_ints(sigs, band, params.k))
-        .collect()
-}
-
 /// A standing, growable LSH banding index: one bucket map per band, keyed
 /// by band keys, holding object ids.
 ///
@@ -161,8 +147,8 @@ pub fn band_keys_ints(sigs: &[u32], params: BandingParams) -> Vec<u64> {
 /// operations: build it once, then serve any mix of
 /// [`BandingIndex::all_pairs`] joins, [`BandingIndex::probe`] point
 /// lookups, and incremental [`BandingIndex::insert`]s. Key computation is
-/// the caller's (hash-family-specific) job via [`band_keys_bits`] /
-/// [`band_keys_ints`], so the index itself is storage-agnostic.
+/// the caller's (hash-family-specific) job via [`band_key_bits`] /
+/// [`band_key_ints`], so the index itself is storage-agnostic.
 #[derive(Debug, Clone)]
 pub struct BandingIndex {
     params: BandingParams,
@@ -580,6 +566,13 @@ mod tests {
     use bayeslsh_numeric::Xoshiro256;
     use bayeslsh_sparse::Dataset;
     use bayeslsh_sparse::{jaccard, SparseVector};
+
+    /// All `l` band keys of an integer minhash signature.
+    fn band_keys_ints(sigs: &[u32], params: BandingParams) -> Vec<u64> {
+        (0..params.l)
+            .map(|band| band_key_ints(sigs, band, params.k))
+            .collect()
+    }
 
     #[test]
     fn l_formula_matches_paper() {

@@ -109,6 +109,16 @@ impl SigPool {
         each_pool!(self, p => p.grow_to(n_objects))
     }
 
+    /// The feature-space dimension the projection families (SRP, E2LSH)
+    /// fix at build time; `None` for minhash, which hashes any feature.
+    pub fn dim(&self) -> Option<u32> {
+        match self {
+            SigPool::Bits(p) => Some(p.hasher().dim()),
+            SigPool::Projs(p) => Some(p.hasher().dim()),
+            SigPool::Ints(_) => None,
+        }
+    }
+
     /// The stored words of pool member `id`'s signature.
     fn raw(&self, id: u32) -> &[u32] {
         each_pool!(self, p => p.raw(id))

@@ -115,8 +115,8 @@ pub use persist::{SnapshotError, SnapshotHeader, SNAPSHOT_FORMAT_VERSION, SNAPSH
 pub use pipeline::{PipelineConfig, PriorChoice};
 pub use posterior::PosteriorModel;
 pub use searcher::{
-    merge_query_outputs, CandidateScan, HashMode, KnnParams, KnnStats, QueryOutput, QueryStats,
-    Searcher, SearcherBuilder, TopKOutput,
+    merge_query_outputs, HashMode, KnnParams, KnnStats, QueryOutput, QueryStats, Searcher,
+    SearcherBuilder, TopKOutput,
 };
 pub use serving::{Epoch, ServingSearcher};
 pub use sprt::SprtTable;

@@ -589,13 +589,7 @@ impl Searcher {
         // inconsistent snapshots and turns `sig_depth` into a *validated*
         // bound the pool deserializers may use to clamp hash-bank
         // regeneration (a bare header integer must not size anything).
-        let expected_depth = {
-            let banding = cfg.banding_plan().params.total_hashes();
-            match header.hash_mode {
-                HashMode::Eager => banding.max(header.composition.verifier.signature_depth(&cfg)),
-                HashMode::Lazy => banding,
-            }
-        };
+        let expected_depth = header.hash_mode.build_depth(&cfg, header.composition);
         if header.sig_depth != expected_depth {
             return Err(mismatch_diff(ConfigDiff::new(
                 "sig_depth",
@@ -684,18 +678,11 @@ impl Searcher {
                 pool.total_hashes()
             )));
         }
-        let hasher_dim = match pool {
-            SigPool::Bits(p) => Some(p.hasher().dim()),
-            SigPool::Projs(p) => Some(p.hasher().dim()),
-            SigPool::Ints(_) => None,
-        };
-        if let Some(hasher_dim) = hasher_dim {
-            if hasher_dim != data.dim() {
-                return Err(mismatch(format!(
-                    "hasher dim {hasher_dim} versus corpus dim {}",
-                    data.dim()
-                )));
-            }
+        if let Some(hasher_dim) = pool.dim().filter(|&dim| dim != data.dim()) {
+            return Err(mismatch(format!(
+                "hasher dim {hasher_dim} versus corpus dim {}",
+                data.dim()
+            )));
         }
         if let SigPool::Projs(p) = pool {
             let cfg_r = cfg.family.l2_width().unwrap_or(f64::NAN);

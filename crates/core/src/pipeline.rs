@@ -66,7 +66,9 @@ pub struct PipelineConfig {
     /// values additionally probe the buckets whose band keys differ in the
     /// lowest-margin bit, letting an index built with fewer bands reach the
     /// same recall. Only bit families (cosine / MIPS) perturb keys;
-    /// integer-hash families treat any value as 1.
+    /// [`PipelineConfig::validate`] rejects `probes > 1` for the
+    /// integer-hash families (Jaccard, L2), whose band keys are digests
+    /// with no meaningful single-bit flips.
     pub probes: usize,
     /// Worker-thread budget for hashing, banding-index construction, and
     /// candidate verification. Output is bit-identical to the serial path
@@ -215,6 +217,15 @@ impl PipelineConfig {
             return Err(SearchError::invalid(
                 "probes",
                 "at least the base bucket is probed per band (probes >= 1)",
+            ));
+        }
+        if self.probes > 1 && matches!(self.family.measure(), Measure::Jaccard | Measure::L2) {
+            return Err(SearchError::invalid(
+                "probes",
+                format!(
+                    "multi-probe perturbs bit band keys (cosine, MIPS) only, got probes = {}",
+                    self.probes
+                ),
             ));
         }
         if self.max_hashes < self.k {

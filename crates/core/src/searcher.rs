@@ -31,6 +31,11 @@
 //! and [`Searcher::top_k`]'s rising-threshold prune runs sequentially by
 //! design while its hashing/probing phases parallelize.
 //!
+//! [`Searcher::top_k_across`] runs the same top-k scan over a corpus split
+//! across several searchers of one build, bit-identical to one searcher
+//! over the whole corpus; the shard router's scatter-gather top-k is that
+//! one call.
+//!
 //! ## Concurrent reads
 //!
 //! [`Searcher::query`], [`Searcher::top_k`], and [`Searcher::all_pairs`]
@@ -47,6 +52,7 @@
 //! still requires `&mut self`; see [`crate::serving::ServingSearcher`]
 //! for serving reads concurrently with a writer.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -81,6 +87,19 @@ pub enum HashMode {
     /// points need only be hashed a few times" economy. Extensions are
     /// cached in the pool, so repeated queries still never re-hash.
     Lazy,
+}
+
+impl HashMode {
+    /// The depth [`SearcherBuilder::build`] hashes every vector to: the
+    /// banding depth, and under eager hashing the verifier's depth too.
+    /// Snapshot loading holds a snapshot's recorded depth to this rule.
+    pub(crate) fn build_depth(self, cfg: &PipelineConfig, composition: Composition) -> u32 {
+        let banding = cfg.banding_plan().params.total_hashes();
+        match self {
+            HashMode::Eager => banding.max(composition.verifier.signature_depth(cfg)),
+            HashMode::Lazy => banding,
+        }
+    }
 }
 
 /// Builder for [`Searcher`]: configuration is validated and the corpus
@@ -177,12 +196,8 @@ impl SearcherBuilder {
         let threads = self.cfg.parallelism.resolve();
         let mut cfg = self.cfg;
         cfg.parallelism = Parallelism::threads(threads.min(u32::MAX as usize) as u32);
-        let plan = cfg.banding_plan();
-        let verifier_depth = self.composition.verifier.signature_depth(&cfg);
-        let sig_depth = match self.mode {
-            HashMode::Eager => plan.params.total_hashes().max(verifier_depth),
-            HashMode::Lazy => plan.params.total_hashes(),
-        };
+        let params = cfg.banding_plan().params;
+        let sig_depth = self.mode.build_depth(&cfg, self.composition);
         let mut pool = SigPool::for_config(&cfg, &data);
         // Every object is hashed to `sig_depth` right below, so the first
         // extension allocates each signature once. (No hint to the
@@ -198,30 +213,19 @@ impl SearcherBuilder {
             .map(|(id, _)| id)
             .collect();
         pool.par_ensure_ids(&data, &ids, sig_depth, threads);
-        let index = BandingIndex::par_build(plan.params, &ids, threads, |id, band| {
-            pool.band_key(id, band, plan.params)
+        let index = BandingIndex::par_build(params, &ids, threads, |id, band| {
+            pool.band_key(id, band, params)
         });
-        if self.mode == HashMode::Eager {
-            // Materialize the hasher bank to query depth so `&self` queries
-            // run entirely under the pool's read lock (even when the corpus
-            // had nothing to hash, e.g. all-empty vectors).
-            pool.prepare_query(sig_depth, threads);
-        }
-        let removed = vec![false; data.len()];
-        Ok(Searcher {
+        Ok(Searcher::from_parts(SearcherParts {
             data,
             cfg,
             composition: self.composition,
             mode: self.mode,
             threads,
             sig_depth,
-            pool: RwLock::new(pool),
+            pool,
             index,
-            plan,
-            removed,
-            n_removed: 0,
-            minmatch_cache: MinMatchCache::new(),
-        })
+        }))
     }
 }
 
@@ -387,27 +391,6 @@ impl Ord for HeapItem {
     }
 }
 
-/// The adjudicated fate of one candidate in a [`Searcher::top_k`] scan,
-/// as returned by [`Searcher::scan_top_k_candidate`]. `comparisons` is
-/// the number of hash comparisons spent on the candidate (what `top_k`
-/// folds into [`KnnStats::hash_comparisons`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CandidateScan {
-    /// The posterior test pruned the candidate before exact verification.
-    Pruned {
-        /// Hash comparisons spent before pruning.
-        comparisons: u32,
-    },
-    /// The candidate survived every chunk; `similarity` is its exact
-    /// similarity to the query under the searcher's measure.
-    Survivor {
-        /// Hash comparisons spent (the full scan budget).
-        comparisons: u32,
-        /// Exact similarity to the query.
-        similarity: f64,
-    },
-}
-
 /// The result of one top-k query.
 #[derive(Debug, Clone)]
 pub struct TopKOutput {
@@ -503,10 +486,6 @@ impl Searcher {
         self.pool.write().expect("signature pool lock poisoned")
     }
 
-    fn pool_mut(&mut self) -> &mut SigPool {
-        self.pool.get_mut().expect("signature pool lock poisoned")
-    }
-
     /// The standing banding index (snapshot serialization).
     pub(crate) fn index(&self) -> &BandingIndex {
         &self.index
@@ -517,12 +496,12 @@ impl Searcher {
         self.sig_depth
     }
 
-    /// Reassemble a searcher from snapshot parts, recomputing everything a
-    /// snapshot does not carry exactly as [`SearcherBuilder::build`] would:
-    /// the banding plan is a pure function of the config, the pruning-table
-    /// memo starts empty (it is rebuilt deterministically on demand), and
-    /// the pool gets the same allocation hint future inserts would have
-    /// seen.
+    /// Assemble a searcher from its parts, freshly built by
+    /// [`SearcherBuilder::build`] or read from a snapshot, recomputing what
+    /// a snapshot does not carry: the banding plan is a pure function of
+    /// the config, the pruning-table memo starts empty (it is rebuilt
+    /// deterministically on demand), and the pool gets the allocation hint
+    /// future inserts see.
     pub(crate) fn from_parts(parts: SearcherParts) -> Self {
         let SearcherParts {
             data,
@@ -537,9 +516,10 @@ impl Searcher {
         let plan = cfg.banding_plan();
         pool.depth_hint(sig_depth);
         if mode == HashMode::Eager {
-            // Same bank materialization `SearcherBuilder::build` performs,
-            // so reloaded eager searchers answer `&self` queries under the
-            // read lock from the first call.
+            // Materialize the hasher bank to query depth so `&self` queries
+            // run entirely under the pool's read lock from the first call
+            // (even when the corpus had nothing to hash, e.g. all-empty
+            // vectors).
             pool.prepare_query(sig_depth, threads);
         }
         let removed = vec![false; data.len()];
@@ -670,78 +650,103 @@ impl Searcher {
             ));
         }
         self.check_query(q)?;
-        let mut stats = QueryStats::default();
         if q.is_empty() || self.data.is_empty() {
             return Ok(QueryOutput {
                 neighbors: Vec::new(),
-                stats,
+                stats: QueryStats::default(),
             });
         }
-
-        let params = self.plan.params;
         let scan_cap = self.composition.verifier.signature_depth(&self.cfg);
-        let depth = params.total_hashes().max(scan_cap);
+        let depth = self.plan.params.total_hashes().max(scan_cap);
+        let out = self.front(
+            q,
+            depth,
+            scan_cap,
+            self.cfg.probes,
+            |mut pool, sig, ids, lookups| {
+                let mut stats = QueryStats {
+                    candidates: ids.len() as u64,
+                    bucket_probes: lookups,
+                    ..QueryStats::default()
+                };
+                let neighbors = self.verify_query(&mut pool, q, threshold, sig, ids, &mut stats);
+                QueryOutput { neighbors, stats }
+            },
+        );
+        Ok(out)
+    }
 
-        // Fast path: when the hasher bank covers the query depth and every
-        // candidate's stored signature covers the verifier's scan cap
-        // (always, under eager hashing), the whole query runs under the
-        // shared read lock — concurrent readers never block each other.
+    /// The query front [`Searcher::query`] and [`Searcher::top_k`] share:
+    /// hash `q` to `depth`, probe the standing index (`probes` buckets per
+    /// band), and hand `scan` the pool, the query signature, the candidates
+    /// and the bucket lookups paid.
+    ///
+    /// When the hasher bank covers `depth` and every candidate's stored
+    /// signature covers `scan_cap` (always under eager hashing, unless a
+    /// top-k budget reaches past the build depth), the whole call runs
+    /// under the shared read lock, so concurrent readers never block each
+    /// other. Otherwise the query is hashed and probed again under the
+    /// write lock, where `scan` deepens signatures lazily (and caches them,
+    /// so repeat queries come back to the read path). Signature bits are
+    /// pure functions of (object, position), so both paths answer
+    /// bit-identically.
+    fn front<T>(
+        &self,
+        q: &SparseVector,
+        depth: u32,
+        scan_cap: u32,
+        probes: usize,
+        scan: impl FnOnce(PoolRef<'_>, &[u32], &[u32], u64) -> T,
+    ) -> T {
+        let params = self.plan.params;
         {
             let pool = self.pool_read();
             if pool.query_ready(depth) {
                 let sig = pool.hash_query_ready(q, depth, self.threads);
                 let keys = pool.query_band_keys(&sig, params);
-                let (cand_ids, probes_done) = self.probe_query_index(&pool, q, &keys);
+                let (cand_ids, lookups) = self.probe(&pool, q, &keys, probes);
                 if cand_ids.iter().all(|&id| pool.len(id) >= scan_cap) {
-                    stats.candidates = cand_ids.len() as u64;
-                    stats.bucket_probes = probes_done;
-                    let access = &mut ReadPool(&pool);
-                    let neighbors =
-                        self.verify_query(access, q, threshold, &sig, &cand_ids, &mut stats);
-                    return Ok(QueryOutput { neighbors, stats });
+                    return scan(PoolRef::Read(&pool), &sig, &cand_ids, lookups);
                 }
             }
         }
-
-        // Slow path (lazy hashing with signatures still shallow): redo the
-        // query under the write lock with the usual lazy extension.
-        // Signature bits are pure functions of (object, position), so this
-        // path is bit-identical to the read path.
         let mut pool = self.pool_write();
-        let sig = if self.threads > 1 {
+        let sig = self.hash_query_mut(&mut pool, q, depth);
+        let keys = pool.query_band_keys(&sig, params);
+        let (cand_ids, lookups) = self.probe(&pool, q, &keys, probes);
+        scan(PoolRef::Write(&mut pool), &sig, &cand_ids, lookups)
+    }
+
+    /// Hash `q` to `depth` through the mutable pool, growing the hasher
+    /// bank if it falls short, split across the thread budget when there
+    /// is more than one thread (bit-identical either way).
+    fn hash_query_mut(&self, pool: &mut SigPool, q: &SparseVector, depth: u32) -> Vec<u32> {
+        if self.threads > 1 {
             pool.hash_query_par(q, depth, self.threads)
         } else {
             pool.hash_query(q, depth)
-        };
-        let keys = pool.query_band_keys(&sig, params);
-        let (cand_ids, probes_done) = self.probe_query_index(&pool, q, &keys);
-        stats.candidates = cand_ids.len() as u64;
-        stats.bucket_probes = probes_done;
-        let access = &mut WritePool(&mut pool);
-        let neighbors = self.verify_query(access, q, threshold, &sig, &cand_ids, &mut stats);
-        Ok(QueryOutput { neighbors, stats })
+        }
     }
 
-    /// Generate candidates for a threshold point query, honouring the
-    /// [`crate::pipeline::PipelineConfig::probes`] knob. Single-probe (the
-    /// default, and the only option for integer-hash families, whose band
-    /// keys are FxHash digests with no meaningful single-bit flips) keeps
-    /// the one-lookup-per-band fast path; `probes > 1` on a bit family
-    /// walks the step-wise multi-probe sequences instead. Returns the
-    /// deduplicated candidate ids and the number of bucket lookups paid.
-    fn probe_query_index(&self, pool: &SigPool, q: &SparseVector, keys: &[u64]) -> (Vec<u32>, u64) {
+    /// Probe the standing index with a query's band `keys`: one lookup per
+    /// band, or up to `probes` per band under step-wise multi-probe, which
+    /// [`PipelineConfig::validate`] admits for bit families only (integer
+    /// band keys are FxHash digests with no meaningful single-bit flips).
+    /// Returns the deduplicated candidate ids in first-encounter order and
+    /// the number of bucket lookups paid.
+    fn probe(
+        &self,
+        pool: &SigPool,
+        q: &SparseVector,
+        keys: &[u64],
+        probes: usize,
+    ) -> (Vec<u32>, u64) {
         let params = self.plan.params;
-        let probes = match pool {
-            // The base bucket plus one probe per flippable band bit.
-            SigPool::Bits(_) => self.cfg.probes.min(params.k as usize + 1),
-            SigPool::Ints(_) | SigPool::Projs(_) => 1,
-        };
-        if probes <= 1 {
-            let ids = self.index.par_probe(keys, self.threads);
-            return (ids, keys.len() as u64);
-        }
-        let SigPool::Bits(bits) = pool else {
-            unreachable!("multi-probe clamps to 1 for non-bit pools")
+        // The base bucket plus one probe per flippable band bit.
+        let probes = probes.min(params.k as usize + 1);
+        let bits = match pool {
+            SigPool::Bits(bits) if probes > 1 => bits,
+            _ => return (self.index.par_probe(keys, self.threads), keys.len() as u64),
         };
         // Per-band probe sequences: the band's own key first, then
         // single-bit flips in ascending-|margin| order — the bit whose
@@ -781,9 +786,9 @@ impl Searcher {
     /// verifier (see [`QueryFront`]), folding the scan's counters into
     /// `stats`; neighbours come back sorted by decreasing similarity, ties
     /// toward the lower id.
-    fn verify_query<P: PoolAccess>(
+    fn verify_query(
         &self,
-        pool: &mut P,
+        pool: &mut PoolRef<'_>,
         q: &SparseVector,
         t: f64,
         sig: &[u32],
@@ -815,6 +820,14 @@ impl Searcher {
     /// k-th-best similarity (the paper's future-work recipe). Exact
     /// similarities are returned for every reported neighbour.
     ///
+    /// Candidates come from a single-probe lookup of the standing index.
+    /// Every candidate's first chunk of agreements is counted up front in
+    /// one batched sweep; the pruning scan then runs sequentially in
+    /// candidate order, because each verdict depends on the k-th best
+    /// similarity found before it, and keeping that order is what makes
+    /// the output deterministic. Query hashing, probing and first-chunk
+    /// hashing fan out across the thread budget.
+    ///
     /// Pruning depth is governed by `params.h` (not the composition's
     /// verifier), so candidates may be lazily deepened up to `params.h`
     /// hashes even under [`HashMode::Eager`]; extensions are cached, so
@@ -833,139 +846,149 @@ impl Searcher {
     ) -> Result<TopKOutput, SearchError> {
         params.validate(k)?;
         self.check_query(q)?;
-        let mut stats = KnnStats::default();
         if q.is_empty() || self.data.is_empty() {
             return Ok(TopKOutput {
                 neighbors: Vec::new(),
-                stats,
+                stats: KnnStats::default(),
             });
         }
-
-        let banding = self.plan.params;
         let scan_cap = (params.h / params.chunk) * params.chunk;
-        let depth = banding.total_hashes().max(scan_cap);
-        // Parallelism accelerates the data-parallel phases — query hashing,
-        // index probing, candidate signature extension. The pruning scan
-        // stays sequential by design: its rising k-th-best threshold makes
-        // each candidate's verdict depend on all previous ones, and keeping
-        // that order is what makes top-k output deterministic.
-
-        // Fast path under the shared read lock: possible when the hasher
-        // bank covers the query depth and every candidate's stored
-        // signature covers the full scan budget. (`params.h` may exceed
-        // even an eager build's depth, in which case the first such query
-        // deepens the candidates under the write lock below — and caches
-        // them, so repeat queries come back to this path.)
-        {
-            let pool = self.pool_read();
-            if pool.query_ready(depth) {
-                let sig = pool.hash_query_ready(q, depth, self.threads);
-                let keys = pool.query_band_keys(&sig, banding);
-                let cand_ids = self.index.par_probe(&keys, self.threads);
-                if cand_ids.iter().all(|&id| pool.len(id) >= scan_cap) {
-                    stats.candidates = cand_ids.len() as u64;
-                    let mut access = ReadPool(&pool);
-                    let neighbors =
-                        self.top_k_scan(&mut access, q, &sig, &cand_ids, k, params, &mut stats);
-                    return Ok(TopKOutput { neighbors, stats });
-                }
-            }
-        }
-
-        let mut pool = self.pool_write();
-        let sig = if self.threads > 1 {
-            pool.hash_query_par(q, depth, self.threads)
-        } else {
-            pool.hash_query(q, depth)
-        };
-        let keys = pool.query_band_keys(&sig, banding);
-        let cand_ids = self.index.par_probe(&keys, self.threads);
-        stats.candidates = cand_ids.len() as u64;
-        let mut access = WritePool(&mut pool);
-        let neighbors = self.top_k_scan(&mut access, q, &sig, &cand_ids, k, params, &mut stats);
-        Ok(TopKOutput { neighbors, stats })
+        let depth = self.plan.params.total_hashes().max(scan_cap);
+        let out = self.front(q, depth, scan_cap, 1, |mut pool, sig, ids, _| {
+            let first = self.first_chunk(&mut pool, sig, ids, params.chunk);
+            let scan = TopKScan::new(self, q, sig, k, params);
+            let candidates = ids.iter().zip(first).map(|(&id, m1)| (id, (id, m1)));
+            scan.run(candidates, |(id, m1), prune_below| {
+                scan.candidate(&self.data, &mut pool, id, m1, prune_below)
+            })
+        });
+        Ok(out)
     }
 
-    /// Everything [`Searcher::top_k`] does after candidate generation:
-    /// first-chunk batched agreements, then the sequential rising-threshold
-    /// pruning scan. Generic over the pool handle so the read- and
-    /// write-lock paths share one implementation.
-    #[allow(clippy::too_many_arguments)]
-    fn top_k_scan<P: PoolAccess>(
-        &self,
-        pool: &mut P,
+    /// [`Searcher::top_k`] over a corpus split across `shards`, with output
+    /// and statistics bit-identical to one searcher over the whole corpus:
+    /// the shard router's scatter-gather top-k. Shard `s`'s local id `i` is
+    /// global id `globals[s][i]`, and neighbours are reported by global id.
+    /// The shards must come from one build recipe (the same config and
+    /// feature space), as [`Dataset::partition`] guarantees, so
+    /// signatures, band keys and similarities match the single index's.
+    ///
+    /// Shard 0 hashes the query. Each shard probes its own index and pays
+    /// its candidates' first chunk. The candidates then go through the one
+    /// rising-threshold scan in the order a single index emits them (first
+    /// matching band, then global id), each scanned on the shard that owns
+    /// it, which deepens its signature as the single index would. Each
+    /// step takes the owning shard's pool lock for that step only.
+    ///
+    /// # Errors
+    ///
+    /// As [`Searcher::top_k`], with `q` checked against shard 0; plus
+    /// [`SearchError::InvalidConfig`] when `shards` is empty, when
+    /// `globals` does not hold one id per vector of each shard, or when
+    /// the shards differ in config or feature space.
+    pub fn top_k_across(
+        shards: &[&Searcher],
+        globals: &[Vec<u32>],
         q: &SparseVector,
-        sig: &[u32],
-        cand_ids: &[u32],
         k: usize,
         params: &KnnParams,
-        stats: &mut KnnStats,
-    ) -> Vec<(u32, f64)> {
-        if self.threads > 1 {
-            // Pre-extend candidates to the FIRST chunk only: every
-            // candidate pays at least one chunk, so this parallelizes the
-            // bulk of the hashing without hashing to the full `params.h`
-            // budget signatures the sequential scan below would prune at
-            // chunk 1 — the lazy economy survives the fan-out.
-            pool.par_ensure_ids(&self.data, cand_ids, params.chunk, self.threads);
+    ) -> Result<TopKOutput, SearchError> {
+        params.validate(k)?;
+        let Some(&lead) = shards.first() else {
+            return Err(SearchError::invalid("shards", "need at least one shard"));
+        };
+        if globals.len() != shards.len()
+            || shards.iter().zip(globals).any(|(s, g)| g.len() != s.len())
+        {
+            return Err(SearchError::invalid(
+                "globals",
+                "need one global id per vector of every shard",
+            ));
         }
+        // Shards agree on everything but the thread budget, which never
+        // changes results.
+        let recipe = |s: &Searcher| {
+            let cfg = PipelineConfig {
+                parallelism: Parallelism::Auto,
+                ..s.cfg
+            };
+            (cfg, s.data.dim())
+        };
+        if shards.iter().any(|s| recipe(s) != recipe(lead)) {
+            return Err(SearchError::invalid(
+                "shards",
+                "every shard must share one config and feature space",
+            ));
+        }
+        lead.check_query(q)?;
+        if q.is_empty() || shards.iter().all(|s| s.is_empty()) {
+            return Ok(TopKOutput {
+                neighbors: Vec::new(),
+                stats: KnnStats::default(),
+            });
+        }
+        let banding = lead.plan.params;
+        let depth = banding
+            .total_hashes()
+            .max((params.h / params.chunk) * params.chunk);
+        let sig = lead.hash_query_mut(&mut lead.pool_write(), q, depth);
 
-        let measure = self.cfg.family.measure();
-        let model = Posterior::for_family(self.cfg.family, JaccardModel::uniform);
-
-        // Every candidate pays at least one chunk, and chunk-1 agreement
-        // counts do not depend on the rising threshold — so count them all
-        // up front in one batched word-parallel sweep, leaving only the
-        // (order-dependent) verdicts and deeper chunks to the sequential
-        // scan below.
-        if self.threads == 1 {
-            for &id in cand_ids {
-                pool.ensure(&self.data, id, params.chunk);
+        // Scatter: probe every shard and pay its first chunk up front,
+        // annotating each candidate with its first matching band.
+        let mut candidates = Vec::new();
+        for (s, (shard, globals)) in shards.iter().zip(globals).enumerate() {
+            let mut pool = shard.pool_write();
+            let keys = pool.query_band_keys(&sig, banding);
+            let locals = shard.index.par_probe(&keys, shard.threads);
+            let first =
+                shard.first_chunk(&mut PoolRef::Write(&mut pool), &sig, &locals, params.chunk);
+            for (&local, m1) in locals.iter().zip(first) {
+                let band =
+                    (0..banding.l).find(|&b| pool.band_key(local, b, banding) == keys[b as usize]);
+                candidates.push((band, globals[local as usize], (s, local, m1)));
             }
         }
+        // Gather: a single index probes bands in order and each bucket in
+        // ascending id order, deduplicating on first encounter; per-shard
+        // candidate sets partition its buckets without reordering either,
+        // so sorting on (first band, global id) restores its order.
+        candidates.sort_by_key(|&(band, global, _)| (band, global));
+        let scan = TopKScan::new(lead, q, &sig, k, params);
+        let candidates = candidates.into_iter().map(|(_, global, c)| (global, c));
+        Ok(scan.run(candidates, |(s, local, m1), prune_below| {
+            let shard = shards[s];
+            let mut pool = shard.pool_write();
+            scan.candidate(
+                &shard.data,
+                &mut PoolRef::Write(&mut pool),
+                local,
+                m1,
+                prune_below,
+            )
+        }))
+    }
+
+    /// Agreement counts between `sig` and each of `ids` over the first
+    /// `chunk` hashes, deepening the signatures first (fanned out across
+    /// the thread budget). Every top-k candidate pays at least one chunk
+    /// and these counts do not depend on the rising threshold, so they are
+    /// taken in one batched word-parallel sweep, leaving only the
+    /// order-dependent verdicts and deeper chunks to the sequential scan.
+    /// Only the first chunk is hashed ahead: a candidate the scan prunes
+    /// there never needs deeper hashes, so hashing every candidate to
+    /// `params.h` up front would waste them.
+    fn first_chunk(
+        &self,
+        pool: &mut PoolRef<'_>,
+        sig: &[u32],
+        ids: &[u32],
+        chunk: u32,
+    ) -> Vec<u32> {
+        pool.ensure_ids(&self.data, ids, chunk, self.threads);
         let mut first = Vec::new();
         pool.get()
-            .query_agreements_batched(sig, cand_ids, 0, params.chunk, &mut first);
-
-        // Min-heap of the current top-k (similarity, id); the k-th best
-        // similarity is a rising pruning threshold.
-        let mut heap: BinaryHeap<std::cmp::Reverse<HeapItem>> = BinaryHeap::with_capacity(k + 1);
-        let mut kth_best = params.floor;
-        for (&id, &m1) in cand_ids.iter().zip(&first) {
-            let scan = scan_candidate(
-                &self.data, pool, &model, measure, q, sig, id, m1, params, kth_best,
-            );
-            let s = match scan {
-                CandidateScan::Pruned { comparisons } => {
-                    stats.hash_comparisons += comparisons as u64;
-                    stats.pruned += 1;
-                    continue;
-                }
-                CandidateScan::Survivor {
-                    comparisons,
-                    similarity,
-                } => {
-                    stats.hash_comparisons += comparisons as u64;
-                    similarity
-                }
-            };
-            stats.exact += 1;
-            if heap.len() < k {
-                heap.push(std::cmp::Reverse(HeapItem(s, id)));
-            } else if s > heap.peek().unwrap().0 .0 {
-                heap.pop();
-                heap.push(std::cmp::Reverse(HeapItem(s, id)));
-            }
-            if heap.len() == k {
-                kth_best = heap.peek().unwrap().0 .0.max(params.floor);
-            }
-        }
-        let mut neighbors: Vec<(u32, f64)> = heap
-            .into_iter()
-            .map(|std::cmp::Reverse(HeapItem(s, id))| (id, s))
-            .collect();
-        neighbors.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        neighbors
+            .query_agreements_batched(sig, ids, 0, chunk, &mut first);
+        first
     }
 
     /// Append a vector to the corpus, extending the signature pool and
@@ -988,15 +1011,10 @@ impl Searcher {
         self.removed.push(false);
         let pool = self.pool.get_mut().expect("signature pool lock poisoned");
         pool.grow_to(self.data.len());
-        let v = self.data.vector(id);
-        if !v.is_empty() {
-            if self.threads > 1 {
-                // One object, many hashes: split the new signature's hash
-                // range across the thread budget (bit-identical splice).
-                pool.par_ensure_ids(&self.data, &[id], self.sig_depth, self.threads);
-            } else {
-                pool.ensure(id, v, self.sig_depth);
-            }
+        if !self.data.vector(id).is_empty() {
+            // One object, many hashes: on more than one thread the new
+            // signature's hash range is split across the budget.
+            PoolRef::Write(pool).ensure_ids(&self.data, &[id], self.sig_depth, self.threads);
             self.index.insert(id, &pool.band_keys(id, self.plan.params));
         }
         Ok(id)
@@ -1094,238 +1112,156 @@ impl Searcher {
                 requires: self.composition.binary_requirement(measure),
             });
         }
-        let pool = self.pool_read();
-        let dim = match &*pool {
-            SigPool::Bits(pool) => Some(pool.hasher().dim()),
-            SigPool::Projs(pool) => Some(pool.hasher().dim()),
-            SigPool::Ints(_) => None,
-        };
-        if let Some(dim) = dim {
-            if v.min_dim() > dim {
-                return Err(SearchError::DimensionExceeded {
-                    dim,
-                    needed: v.min_dim(),
-                });
-            }
+        if let Some(dim) = self.pool_read().dim().filter(|&dim| v.min_dim() > dim) {
+            return Err(SearchError::DimensionExceeded {
+                dim,
+                needed: v.min_dim(),
+            });
         }
         Ok(())
     }
+}
 
-    // ------------------------------------------------------------------
-    // Scatter-gather hooks.
-    //
-    // A sharded router serves the same contract as one big `Searcher`
-    // by splitting a query across per-shard searchers and merging. The
-    // order-independent paths (`query`) merge whole outputs; `top_k`'s
-    // rising-threshold scan is order-*dependent*, so the router instead
-    // reconstructs the single-index candidate order from the hooks below
-    // and replays the sequential scan itself, one candidate at a time,
-    // against whichever shard owns each candidate.
-    // ------------------------------------------------------------------
+/// The signature pool as one query holds it. Under the read lock every
+/// signature the query touches is already deep enough, so ensures are
+/// no-ops (checked in debug builds); under the write lock they deepen
+/// signatures lazily. The scans run against this one handle, so both
+/// paths run the same code and stay bit-identical by construction.
+enum PoolRef<'a> {
+    Read(&'a SigPool),
+    Write(&'a mut SigPool),
+}
 
-    /// Validate `v` as a query/insert vector for this searcher — the
-    /// same preconditions [`Searcher::query`], [`Searcher::top_k`], and
-    /// [`Searcher::insert`] enforce (binary support where the composition
-    /// demands it; for cosine, no feature index beyond the indexed
-    /// space). Lets a router fail a scatter-gather request up front with
-    /// the identical [`SearchError`] a single index would produce.
-    pub fn validate_query_vector(&self, v: &SparseVector) -> Result<(), SearchError> {
-        self.check_query(v)
-    }
-
-    /// Hash `q` to a `depth`-hash query signature using this searcher's
-    /// hash family (bit-identical at any thread count). Because the
-    /// family is a pure function of the config seed and feature-space
-    /// dimensionality — both forced global across shards — a signature
-    /// computed on one shard is valid against every shard of the same
-    /// build.
-    pub fn hash_query_signature(&mut self, q: &SparseVector, depth: u32) -> Vec<u32> {
-        let threads = self.threads;
-        let pool = self.pool_mut();
-        if threads > 1 {
-            pool.hash_query_par(q, depth, threads)
-        } else {
-            pool.hash_query(q, depth)
+impl PoolRef<'_> {
+    fn get(&self) -> &SigPool {
+        match self {
+            PoolRef::Read(pool) => pool,
+            PoolRef::Write(pool) => pool,
         }
     }
 
-    /// Probe the banding index with query signature `sig` and annotate
-    /// each candidate with the **first band** whose bucket produced it:
-    /// returns deduplicated `(local id, first matching band)` pairs.
-    ///
-    /// A single index emits candidates in `(first band, id)` order — the
-    /// probe walks bands in order and each bucket in ascending-id order,
-    /// deduplicating on first encounter. Per-shard candidate sets
-    /// partition a global index's buckets without reordering either
-    /// component, so a router can rebuild the exact single-index
-    /// emission order by merging per-shard results on
-    /// `(first band, global id)`.
-    pub fn probe_first_bands(&self, sig: &[u32]) -> Vec<(u32, u32)> {
-        let params = self.plan.params;
-        let pool = self.pool_read();
-        let keys = pool.query_band_keys(sig, params);
-        let cand_ids = self.index.par_probe(&keys, self.threads);
-        cand_ids
-            .into_iter()
-            .map(|id| {
-                let band = (0..params.l)
-                    .find(|&b| pool.band_key(id, b, params) == keys[b as usize])
-                    .expect("probed candidate must share a band key with the query");
-                (id, band)
-            })
-            .collect()
-    }
-
-    /// Agreement counts between `sig` and each of `ids` over hash range
-    /// `[0, chunk)`, extending pool signatures as needed (parallel across
-    /// the thread budget, bit-identical to serial). This is
-    /// [`Searcher::top_k`]'s batched first-chunk sweep, exposed so a
-    /// router can pay each shard's first chunk up front — the counts are
-    /// independent of the rising threshold, so only the verdicts remain
-    /// sequential.
-    pub fn first_chunk_agreements(&mut self, sig: &[u32], ids: &[u32], chunk: u32) -> Vec<u32> {
-        let threads = self.threads;
-        let pool = self.pool.get_mut().expect("signature pool lock poisoned");
-        if threads > 1 {
-            pool.par_ensure_ids(&self.data, ids, chunk, threads);
-        } else {
-            for &id in ids {
-                let v = self.data.vector(id);
-                pool.ensure(id, v, chunk);
+    /// Extend the signatures of `ids` to at least `n` hashes: one by one
+    /// on one thread, fanned out on more (bit-identical either way).
+    fn ensure_ids(&mut self, data: &Dataset, ids: &[u32], n: u32, threads: usize) {
+        match self {
+            PoolRef::Read(pool) => debug_assert!(
+                ids.iter().all(|&id| pool.len(id) >= n),
+                "read-path ensure must be a no-op"
+            ),
+            PoolRef::Write(pool) if threads > 1 => pool.par_ensure_ids(data, ids, n, threads),
+            PoolRef::Write(pool) => {
+                for &id in ids {
+                    pool.ensure(id, data.vector(id), n);
+                }
             }
         }
-        let mut out = Vec::new();
-        pool.query_agreements_batched(sig, ids, 0, chunk, &mut out);
-        out
     }
+}
 
-    /// Run one candidate of [`Searcher::top_k`]'s sequential pruning
-    /// scan: resume from first-chunk agreement count `first_m` (from
-    /// [`Searcher::first_chunk_agreements`]) and test against the
-    /// caller-supplied pruning threshold `prune_below` (the rising
-    /// k-th-best similarity, captured once per candidate exactly as
-    /// `top_k` does). The outcome is a pure function of the arguments
-    /// and the candidate's signature, so a router replaying candidates
-    /// in single-index order reproduces `top_k` bit for bit.
-    ///
-    /// `params` must satisfy the [`Searcher::top_k`] preconditions
-    /// (`chunk >= 1`, `h >= chunk`); survivors carry the exact
-    /// similarity under this searcher's measure.
-    pub fn scan_top_k_candidate(
-        &mut self,
-        q: &SparseVector,
-        sig: &[u32],
-        id: u32,
-        first_m: u32,
-        params: &KnnParams,
-        prune_below: f64,
-    ) -> CandidateScan {
-        debug_assert!(params.chunk >= 1 && params.h >= params.chunk);
-        let measure = self.cfg.family.measure();
-        let model = Posterior::for_family(self.cfg.family, JaccardModel::uniform);
-        let pool = &mut WritePool(self.pool.get_mut().expect("signature pool lock poisoned"));
-        scan_candidate(
-            &self.data,
-            pool,
-            &model,
-            measure,
+/// One top-k request, shared by [`Searcher::top_k`] and
+/// [`Searcher::top_k_across`]: the query and its signature, the
+/// parameters, and the posterior and measure every candidate is scanned
+/// with (the same on every shard of one build).
+struct TopKScan<'a> {
+    q: &'a SparseVector,
+    sig: &'a [u32],
+    k: usize,
+    params: &'a KnnParams,
+    model: Posterior,
+    measure: Measure,
+}
+
+impl<'a> TopKScan<'a> {
+    fn new(
+        searcher: &Searcher,
+        q: &'a SparseVector,
+        sig: &'a [u32],
+        k: usize,
+        params: &'a KnnParams,
+    ) -> Self {
+        TopKScan {
             q,
             sig,
-            id,
-            first_m,
+            k,
             params,
-            prune_below,
-        )
-    }
-}
-
-/// Uniform pool handle for the two execution paths of `&self` queries:
-/// the read path (the pool already covers every request, so lazy ensures
-/// are debug-checked no-ops) and the write path (real lazy extension
-/// under the write lock). Verification code is generic over this, so
-/// both paths run the exact same scan logic and stay bit-identical by
-/// construction.
-trait PoolAccess {
-    fn get(&self) -> &SigPool;
-    fn ensure(&mut self, data: &Dataset, id: u32, n: u32);
-    fn par_ensure_ids(&mut self, data: &Dataset, ids: &[u32], n: u32, threads: usize);
-}
-
-/// Read-lock pool handle: every touched signature is already deep
-/// enough, so ensures are no-ops (verified in debug builds).
-struct ReadPool<'a>(&'a SigPool);
-
-impl PoolAccess for ReadPool<'_> {
-    fn get(&self) -> &SigPool {
-        self.0
+            model: Posterior::for_family(searcher.cfg.family, JaccardModel::uniform),
+            measure: searcher.cfg.family.measure(),
+        }
     }
 
-    fn ensure(&mut self, _data: &Dataset, id: u32, n: u32) {
-        debug_assert!(self.0.len(id) >= n, "read-path ensure must be a no-op");
-    }
-
-    fn par_ensure_ids(&mut self, _data: &Dataset, ids: &[u32], n: u32, _threads: usize) {
-        debug_assert!(
-            ids.iter().all(|&id| self.0.len(id) >= n),
-            "read-path ensure must be a no-op"
-        );
-    }
-}
-
-/// Write-lock pool handle: the usual lazy-extension economy.
-struct WritePool<'a>(&'a mut SigPool);
-
-impl PoolAccess for WritePool<'_> {
-    fn get(&self) -> &SigPool {
-        self.0
-    }
-
-    fn ensure(&mut self, data: &Dataset, id: u32, n: u32) {
-        self.0.ensure(id, data.vector(id), n);
-    }
-
-    fn par_ensure_ids(&mut self, data: &Dataset, ids: &[u32], n: u32, threads: usize) {
-        self.0.par_ensure_ids(data, ids, n, threads);
-    }
-}
-
-/// One candidate of [`Searcher::top_k`]'s sequential scan: resume from
-/// its first-chunk agreement count `m1` (which `top_k` counts for every
-/// candidate in one batched sweep — it does not depend on the rising
-/// threshold), compare `params.chunk` more hashes at a time up to
-/// `params.h`, and prune once `Pr[S ≥ prune_below | M(m, n)] < ε`. A
-/// survivor gets its exact similarity to `q`.
-#[allow(clippy::too_many_arguments)]
-fn scan_candidate<P: PoolAccess>(
-    data: &Dataset,
-    pool: &mut P,
-    model: &Posterior,
-    measure: Measure,
-    q: &SparseVector,
-    sig: &[u32],
-    id: u32,
-    m1: u32,
-    params: &KnnParams,
-    prune_below: f64,
-) -> CandidateScan {
-    let prunes = |m, n| model.prob_above_threshold(m, n, prune_below) < params.epsilon;
-    let chunk = params.chunk;
-    let (mut m, mut n) = (m1, chunk);
-    for _ in 1..params.h / chunk {
+    /// Scan one candidate of `data`: resume from its first-chunk agreement
+    /// count `m1`, compare `params.chunk` more hashes at a time up to
+    /// `params.h` (deepening its signature in `pool`), and prune once
+    /// `Pr[S ≥ prune_below | M(m, n)] < ε`. Returns the hash comparisons
+    /// spent and, for a survivor, its exact similarity to the query.
+    fn candidate(
+        &self,
+        data: &Dataset,
+        pool: &mut PoolRef<'_>,
+        id: u32,
+        m1: u32,
+        prune_below: f64,
+    ) -> (u32, Option<f64>) {
+        let params = self.params;
+        let prunes = |m, n| self.model.prob_above_threshold(m, n, prune_below) < params.epsilon;
+        let chunk = params.chunk;
+        let (mut m, mut n) = (m1, chunk);
+        for _ in 1..params.h / chunk {
+            if prunes(m, n) {
+                return (n, None);
+            }
+            pool.ensure_ids(data, &[id], n + chunk, 1);
+            m += pool.get().query_agreements(self.sig, id, n, n + chunk);
+            n += chunk;
+        }
         if prunes(m, n) {
-            return CandidateScan::Pruned { comparisons: n };
+            (n, None)
+        } else {
+            (n, Some(self.measure.eval(self.q, data.vector(id))))
         }
-        pool.ensure(data, id, n + chunk);
-        m += pool.get().query_agreements(sig, id, n, n + chunk);
-        n += chunk;
     }
-    if prunes(m, n) {
-        CandidateScan::Pruned { comparisons: n }
-    } else {
-        CandidateScan::Survivor {
-            comparisons: n,
-            similarity: measure.eval(q, data.vector(id)),
+
+    /// The rising-threshold scan. `candidates` come in scan order as
+    /// (reported id, scan input), and `scan(input, prune_below)` runs one
+    /// of them through [`TopKScan::candidate`] against the k-th best
+    /// similarity found before it (`params.floor` until `k` survive).
+    /// Survivors compete in a min-heap of the current top `k`.
+    fn run<C>(
+        &self,
+        candidates: impl ExactSizeIterator<Item = (u32, C)>,
+        mut scan: impl FnMut(C, f64) -> (u32, Option<f64>),
+    ) -> TopKOutput {
+        let floor = self.params.floor;
+        let mut stats = KnnStats {
+            candidates: candidates.len() as u64,
+            ..KnnStats::default()
+        };
+        let mut heap = BinaryHeap::with_capacity(self.k + 1);
+        let mut kth_best = floor;
+        for (id, c) in candidates {
+            let (comparisons, similarity) = scan(c, kth_best);
+            stats.hash_comparisons += comparisons as u64;
+            let Some(s) = similarity else {
+                stats.pruned += 1;
+                continue;
+            };
+            stats.exact += 1;
+            if heap.len() < self.k {
+                heap.push(Reverse(HeapItem(s, id)));
+            } else if heap.peek().is_some_and(|Reverse(worst)| s > worst.0) {
+                heap.pop();
+                heap.push(Reverse(HeapItem(s, id)));
+            }
+            if heap.len() == self.k {
+                kth_best = heap.peek().map_or(floor, |Reverse(kth)| kth.0.max(floor));
+            }
         }
+        let mut neighbors: Vec<(u32, f64)> = heap
+            .into_iter()
+            .map(|Reverse(HeapItem(s, id))| (id, s))
+            .collect();
+        neighbors.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        TopKOutput { neighbors, stats }
     }
 }
 
@@ -1335,15 +1271,15 @@ fn scan_candidate<P: PoolAccess>(
 /// more threads extend every candidate to the rule's depth, then fan out
 /// over the read-only pool. Either way verdicts and counters are
 /// bit-identical.
-struct QueryFront<'s, P> {
+struct QueryFront<'s, 'p> {
     searcher: &'s Searcher,
-    pool: &'s mut P,
+    pool: &'s mut PoolRef<'p>,
     q: &'s SparseVector,
     sig: &'s [u32],
     cand_ids: &'s [u32],
 }
 
-impl<P: PoolAccess> ScanFront for QueryFront<'_, P> {
+impl ScanFront for QueryFront<'_, '_> {
     type Output = (Vec<(u32, f64)>, EngineStats);
 
     fn run<R: DecisionRule + Clone + Sync>(self, mut rule: R) -> Self::Output {
@@ -1361,9 +1297,7 @@ impl<P: PoolAccess> ScanFront for QueryFront<'_, P> {
         if threads <= 1 {
             let mut out = Vec::new();
             let count = |ids: &[u32], lo, hi, counts: &mut Vec<u32>| {
-                for &id in ids {
-                    pool.ensure(data, id, hi);
-                }
+                pool.ensure_ids(data, ids, hi, 1);
                 pool.get()
                     .query_agreements_batched(sig, ids, lo, hi, counts);
             };
@@ -1380,7 +1314,7 @@ impl<P: PoolAccess> ScanFront for QueryFront<'_, P> {
             return (out, stats);
         }
         if rule.depth() > 0 {
-            pool.par_ensure_ids(data, cand_ids, rule.depth(), threads);
+            pool.ensure_ids(data, cand_ids, rule.depth(), threads);
         }
         let pool = pool.get();
         let out = par_scan(
@@ -1598,6 +1532,77 @@ mod tests {
             s.top_k(&q, 3, &params).unwrap().stats.exact
         };
         assert!(exact_at(0.6) <= exact_at(0.05));
+    }
+
+    #[test]
+    fn top_k_across_one_shard_is_top_k() {
+        // One shard whose local ids are the global ids is the single
+        // index: the same neighbours, statistics and hashing, on the read
+        // path (eager) and on the lazily deepening one, at any budget.
+        let deep = KnnParams {
+            h: 4096,
+            ..KnnParams::default()
+        };
+        for mode in [HashMode::Eager, HashMode::Lazy] {
+            let build = || {
+                Searcher::builder(PipelineConfig::cosine(0.5))
+                    .hash_mode(mode)
+                    .build(corpus(12))
+                    .unwrap()
+            };
+            let (single, shard) = (build(), build());
+            let globals = [(0..shard.len() as u32).collect::<Vec<u32>>()];
+            for qid in [3u32, 17, 40] {
+                let q = single.data().vector(qid).clone();
+                for params in [KnnParams::default(), deep] {
+                    let a = single.top_k(&q, 5, &params).unwrap();
+                    let b = Searcher::top_k_across(&[&shard], &globals, &q, 5, &params).unwrap();
+                    let bits = |n: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                        n.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&a.neighbors), bits(&b.neighbors), "{mode:?} {qid}");
+                    assert_eq!(a.stats, b.stats, "{mode:?} {qid}");
+                    assert_eq!(single.hash_count(), shard.hash_count(), "{mode:?} {qid}");
+                }
+            }
+        }
+
+        // Malformed shard sets are typed errors, never panics.
+        let s = Searcher::builder(PipelineConfig::cosine(0.5))
+            .build(corpus(12))
+            .unwrap();
+        let other = Searcher::builder(PipelineConfig::cosine(0.6))
+            .build(corpus(12))
+            .unwrap();
+        let q = s.data().vector(0).clone();
+        let ids: Vec<u32> = (0..s.len() as u32).collect();
+        let params = KnnParams::default();
+        let invalid = |result: Result<TopKOutput, SearchError>| match result {
+            Err(SearchError::InvalidConfig { param, .. }) => param,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        let short = [ids[1..].to_vec()];
+        assert_eq!(
+            invalid(Searcher::top_k_across(&[&s], &short, &q, 5, &params)),
+            "globals"
+        );
+        assert_eq!(
+            invalid(Searcher::top_k_across(&[&s], &[], &q, 5, &params)),
+            "globals"
+        );
+        assert_eq!(
+            invalid(Searcher::top_k_across(&[], &[], &q, 5, &params)),
+            "shards"
+        );
+        let two = [ids.clone(), ids.clone()];
+        assert_eq!(
+            invalid(Searcher::top_k_across(&[&s, &other], &two, &q, 5, &params)),
+            "shards"
+        );
+        assert_eq!(
+            invalid(Searcher::top_k_across(&[&s], &[ids], &q, 0, &params)),
+            "k"
+        );
     }
 
     #[test]

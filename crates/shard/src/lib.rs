@@ -20,8 +20,10 @@
 //!   lazily ([`LoadPolicy`]), and serves `all_pairs()`, threshold
 //!   `query()`, `top_k()`, and `insert()` with results bit-identical to
 //!   a single `Searcher` over the unpartitioned corpus — at any shard
-//!   count × any thread budget. `reload()` hot-swaps a freshly
-//!   verified generation under in-flight queries.
+//!   count × any thread budget. Top-k is one call to core's
+//!   `Searcher::top_k_across` over the locked shards, so the router
+//!   holds no scan of its own. `reload()` hot-swaps a freshly verified
+//!   generation under in-flight queries.
 //! * [`ShardError`] — the typed failure vocabulary: bad magic,
 //!   unsupported version, corrupt manifest, shard checksum mismatch,
 //!   config-fingerprint drift, missing shard file, snapshot and search
@@ -30,8 +32,8 @@
 //!
 //! The equivalence contract is pinned by `tests/shard_equivalence.rs`
 //! (the paper's eight compositions plus LSH × SPRT × shard counts ×
-//! thread budgets)
-//! and a committed golden manifest fixture.
+//! thread budgets, and the shards' hash counts against the single
+//! index's) and a committed golden manifest fixture.
 
 pub mod builder;
 pub mod error;

@@ -1,12 +1,16 @@
 //! The scatter-gather serving router with hot-swap reload.
+//!
+//! Threshold queries scatter to every shard's [`Searcher::query`] and
+//! merge the outputs; top-k locks every shard and hands them to
+//! [`Searcher::top_k_across`], which holds the whole scatter-gather
+//! top-k; batch joins run on a merged single index.
 
-use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use bayeslsh_core::{
-    merge_query_outputs, CandidateScan, CompositionOutput, KnnParams, KnnStats, QueryOutput,
-    SearchError, Searcher, SearcherBuilder, TopKOutput,
+    merge_query_outputs, CompositionOutput, KnnParams, QueryOutput, SearchError, Searcher,
+    SearcherBuilder, TopKOutput,
 };
 use bayeslsh_numeric::{fnv1a_checksum, Parallelism};
 use bayeslsh_sparse::{Dataset, SparseVector};
@@ -226,26 +230,6 @@ impl Generation {
     }
 }
 
-/// Exact ordering twin of the single-index top-k heap item
-/// (`HeapItem` in `core::searcher`): min-heap on similarity, ties broken toward
-/// the *larger* id so the smaller id wins the final descending sort.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapItem(f64, u32);
-
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
-}
-
 /// A sharded similarity searcher: opens a [`ShardManifest`], loads the
 /// shard snapshots it names, and serves the whole [`Searcher`] query
 /// surface by scatter-gather with a deterministic cross-shard merge.
@@ -264,10 +248,10 @@ impl Ord for HeapItem {
 ///   similarities) are identical to the single-index ones;
 /// * threshold-query verdicts are per-candidate and order-independent,
 ///   so per-shard outputs merge by id remap + re-sort;
-/// * top-k's rising-threshold scan *is* order-dependent, so the router
-///   reconstructs the single index's candidate emission order — sort by
-///   (first matching band, global id) — and replays the sequential scan
-///   itself, one candidate at a time against the owning shard.
+/// * top-k's rising-threshold scan *is* order-dependent, so
+///   [`Searcher::top_k_across`] reconstructs the single index's candidate
+///   emission order — sort by (first matching band, global id) — and runs
+///   the one sequential scan over it, each candidate on its owning shard.
 ///
 /// ## Hot swap
 ///
@@ -377,14 +361,11 @@ impl ShardedSearcher {
         Ok(merge_query_outputs(parts))
     }
 
-    /// Top-`k` query, scatter-gathered. The data-parallel phases —
-    /// query hashing, index probing, first-chunk agreement counting —
-    /// run per shard; the order-dependent rising-threshold scan then
-    /// runs at the router, over the merged candidate list in the exact
-    /// order a single index would emit it (ascending first matching
-    /// band, then ascending global id), delegating each candidate's
-    /// chunked scan to its owning shard. Output and statistics are
-    /// bit-identical to [`Searcher::top_k`].
+    /// Top-`k` query, scatter-gathered: every shard slot is locked in
+    /// ascending order (the generation's lock order), loading shards as
+    /// needed, and the shards go to [`Searcher::top_k_across`] with the
+    /// id map. Output and statistics are bit-identical to
+    /// [`Searcher::top_k`] on a single index.
     ///
     /// # Errors
     ///
@@ -401,87 +382,11 @@ impl ShardedSearcher {
         params.validate(k)?;
         let generation = self.generation();
         let ids = generation.ids.read().expect("id map poisoned");
-        let n_shards = generation.manifest.shard_count();
-        generation.with_shard(0, |sr| sr.validate_query_vector(q))??;
-        let mut stats = KnnStats::default();
-        if q.is_empty() || ids.locate.is_empty() {
-            return Ok(TopKOutput {
-                neighbors: Vec::new(),
-                stats,
-            });
-        }
-
-        // The banding plan and scan depth depend only on the config,
-        // which all shards share; the signature is a pure function of
-        // (config seed, dim, query), so one shard can hash for all.
-        let sig = generation.with_shard(0, |sr| {
-            let banding = sr.banding_plan().params;
-            let max_chunks = params.h / params.chunk;
-            let depth = banding.total_hashes().max(max_chunks * params.chunk);
-            sr.hash_query_signature(q, depth)
-        })?;
-
-        // Scatter: probe every shard and pay its first chunk up front,
-        // annotating candidates as (first band, global id, shard, local
-        // id, first-chunk agreements).
-        let mut candidates: Vec<(u32, u32, u32, u32, u32)> = Vec::new();
-        for s in 0..n_shards {
-            let globals = &ids.globals[s];
-            let (probed, first) = generation.with_shard(s, |sr| {
-                let probed = sr.probe_first_bands(&sig);
-                let locals: Vec<u32> = probed.iter().map(|&(local, _)| local).collect();
-                let first = sr.first_chunk_agreements(&sig, &locals, params.chunk);
-                (probed, first)
-            })?;
-            for (&(local, band), &m) in probed.iter().zip(&first) {
-                candidates.push((band, globals[local as usize], s as u32, local, m));
-            }
-        }
-        // Gather: restore the single index's emission order — bands in
-        // probe order, each bucket in ascending (global) id order.
-        candidates.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        stats.candidates = candidates.len() as u64;
-
-        // Replay the sequential rising-threshold scan. Each candidate's
-        // verdict is a pure function of (signature, candidate, pruning
-        // threshold captured before its scan), so delegating scans to
-        // the owning shards reproduces the single index bit for bit.
-        let mut heap: BinaryHeap<std::cmp::Reverse<HeapItem>> = BinaryHeap::with_capacity(k + 1);
-        let mut kth_best = params.floor;
-        for &(_, global, s, local, first_m) in &candidates {
-            let prune_below = kth_best;
-            let scan = generation.with_shard(s as usize, |sr| {
-                sr.scan_top_k_candidate(q, &sig, local, first_m, params, prune_below)
-            })?;
-            match scan {
-                CandidateScan::Pruned { comparisons } => {
-                    stats.hash_comparisons += comparisons as u64;
-                    stats.pruned += 1;
-                }
-                CandidateScan::Survivor {
-                    comparisons,
-                    similarity,
-                } => {
-                    stats.hash_comparisons += comparisons as u64;
-                    stats.exact += 1;
-                    if heap.len() < k {
-                        heap.push(std::cmp::Reverse(HeapItem(similarity, global)));
-                    } else if similarity > heap.peek().expect("heap is full").0 .0 {
-                        heap.pop();
-                        heap.push(std::cmp::Reverse(HeapItem(similarity, global)));
-                    }
-                    if heap.len() == k {
-                        kth_best = heap.peek().expect("heap is full").0 .0.max(params.floor);
-                    }
-                }
-            }
-        }
-        let mut neighbors: Vec<(u32, f64)> = heap
-            .into_iter()
-            .map(|std::cmp::Reverse(HeapItem(s, id))| (id, s))
-            .collect();
-        neighbors.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        Ok(TopKOutput { neighbors, stats })
+        let slots = (0..generation.manifest.shard_count())
+            .map(|s| generation.slot(s))
+            .collect::<Result<Vec<_>, _>>()?;
+        let shards: Vec<&Searcher> = slots.iter().filter_map(|slot| slot.as_ref()).collect();
+        Ok(Searcher::top_k_across(&shards, &ids.globals, q, k, params)?)
     }
 
     /// The batch all-pairs join over the whole sharded corpus, in

@@ -2,9 +2,9 @@
 //! family rides every verifier — the SPRT composition included — with
 //! output **bit-identical** across thread counts and shard counts, and
 //! the MIPS reduction searches inner products through the cosine
-//! machinery. The integer-bucket (Projs) pool clamps multi-probe to the
-//! classic single-probe path, and PPJoin+ rejects both new measures with
-//! a typed error instead of producing garbage.
+//! machinery. Multi-probe on the integer-hash families (L2, Jaccard) and
+//! PPJoin+ on either new measure are typed config errors instead of
+//! silent fallbacks or garbage.
 
 use bayeslsh::prelude::*;
 
@@ -229,29 +229,31 @@ fn ppjoin_rejects_the_new_measures_with_a_typed_error() {
 }
 
 #[test]
-fn integer_bucket_pools_clamp_multi_probe_to_single_probe() {
-    // The Projs pool's band keys are digests of bucket tuples; a single-bit
-    // flip is meaningless, so a probes > 1 config behaves exactly like the
-    // single-probe path (and reports the single-probe lookup count).
-    let data = l2_corpus(705);
-    let mut cfg = PipelineConfig::l2(0.5, 4.0);
-    cfg.parallelism = Parallelism::serial();
-    let single = Searcher::builder(cfg).build(data.clone()).unwrap();
-    cfg.probes = 5;
-    let probed = Searcher::builder(cfg).build(data.clone()).unwrap();
-    let l = single.banding_plan().params.l as u64;
-    for qid in (0..data.len() as u32).step_by(9) {
-        let q = data.vector(qid).clone();
-        let (a, b) = (
-            single.query(&q, 0.5).unwrap(),
-            probed.query(&q, 0.5).unwrap(),
-        );
-        assert_eq!(a.stats, b.stats, "query {qid}");
-        assert_eq!(a.stats.bucket_probes, l, "query {qid}: one lookup per band");
-        assert_eq!(
-            neighborhood(&a.neighbors),
-            neighborhood(&b.neighbors),
-            "query {qid}"
+fn integer_hash_families_reject_multi_probe_with_a_typed_error() {
+    // Integer band keys are digests of hash tuples, so a single-bit flip
+    // means nothing: `probes > 1` on L2 (E2LSH buckets) or Jaccard
+    // (minhash) is refused at build.
+    let l2 = l2_corpus(705);
+    let binary = l2.binarized();
+    for (cfg, data) in [
+        (PipelineConfig::l2(0.5, 4.0), &l2),
+        (PipelineConfig::jaccard(0.5), &binary),
+    ] {
+        let family = cfg.family.measure();
+        assert!(Searcher::builder(cfg).build(data.clone()).is_ok());
+        let err = Searcher::builder(cfg)
+            .probes(5)
+            .build(data.clone())
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SearchError::InvalidConfig {
+                    param: "probes",
+                    ..
+                }
+            ),
+            "{family:?}: expected InvalidConfig(probes), got {err:?}"
         );
     }
 }

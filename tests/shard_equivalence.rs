@@ -488,6 +488,70 @@ fn lazy_load_policy_is_equivalent_and_lazy() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Sharding must not change what gets hashed. After the build, and after
+/// every threshold query and top-k (including one whose budget reaches
+/// past the eager build depth), the shards' hash counts sum to the count
+/// of a single index that served the same calls. Answers stay
+/// bit-identical however a router deepens signatures, so only this
+/// count sees a router that hashes differently from the single index.
+#[test]
+fn shard_hash_counts_sum_to_the_single_index_count() {
+    let cfg = PipelineConfig::cosine(0.7);
+    let comp = Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes);
+    let data = corpus(408);
+    let deep = KnnParams {
+        h: 4096,
+        ..KnnParams::default()
+    };
+    assert!(deep.h > comp.verifier.signature_depth(&cfg));
+    for mode in [HashMode::Eager, HashMode::Lazy] {
+        for threads in THREAD_BUDGETS {
+            for n_shards in [1, 3] {
+                let ctx = format!("{mode:?} × {threads} threads × {n_shards} shards");
+                let dir = scratch(&format!("hashes-{mode:?}-{threads}-{n_shards}"));
+                let par = Parallelism::threads(threads);
+                ShardBuilder::new(cfg)
+                    .composition(comp)
+                    .hash_mode(mode)
+                    .shards(n_shards)
+                    .partition(PartitionFn::Hashed { seed: 11 })
+                    .parallelism(par)
+                    .build_to_dir(&data, &dir)
+                    .unwrap();
+                let sharded =
+                    ShardedSearcher::open_with(&dir.join(MANIFEST_FILE), par, LoadPolicy::Eager)
+                        .unwrap();
+                let single = Searcher::builder(cfg)
+                    .composition(comp)
+                    .hash_mode(mode)
+                    .parallelism(par)
+                    .build(data.clone())
+                    .unwrap();
+                let check = |step: &str| {
+                    let generation = sharded.generation();
+                    let shard_hashes: u64 = (0..n_shards)
+                        .map(|s| generation.with_searcher(s, Searcher::hash_count).unwrap())
+                        .sum();
+                    assert_eq!(shard_hashes, single.hash_count(), "{ctx}: after {step}");
+                };
+                check("build");
+                for qid in [0u32, 11, 22, 33] {
+                    let q = data.vector(qid).clone();
+                    sharded.query(&q, cfg.threshold).unwrap();
+                    single.query(&q, cfg.threshold).unwrap();
+                    check(&format!("query {qid}"));
+                    for (name, params) in [("top_k", KnnParams::default()), ("deep top_k", deep)] {
+                        sharded.top_k(&q, 5, &params).unwrap();
+                        single.top_k(&q, 5, &params).unwrap();
+                        check(&format!("{name} {qid}"));
+                    }
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Corruption properties: every flipped byte and every truncation of the
 // manifest or any shard snapshot must surface as a typed ShardError at
