@@ -870,7 +870,7 @@ impl Searcher {
     /// the shard router's scatter-gather top-k. Shard `s`'s local id `i` is
     /// global id `globals[s][i]`, and neighbours are reported by global id.
     /// The shards must come from one build recipe (the same config and
-    /// feature space), as [`Dataset::partition`] guarantees, so
+    /// hasher feature space), as [`Dataset::partition`] guarantees, so
     /// signatures, band keys and similarities match the single index's.
     ///
     /// Shard 0 hashes the query. Each shard probes its own index and pays
@@ -906,13 +906,15 @@ impl Searcher {
             ));
         }
         // Shards agree on everything but the thread budget, which never
-        // changes results.
+        // changes results. The feature space compared is the hasher's, fixed
+        // at build: a Jaccard insert may widen one shard's dataset, but
+        // minhash has no feature space and its signatures stay the same.
         let recipe = |s: &Searcher| {
             let cfg = PipelineConfig {
                 parallelism: Parallelism::Auto,
                 ..s.cfg
             };
-            (cfg, s.data.dim())
+            (cfg, s.pool_read().dim())
         };
         if shards.iter().any(|s| recipe(s) != recipe(lead)) {
             return Err(SearchError::invalid(

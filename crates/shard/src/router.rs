@@ -1,12 +1,14 @@
 //! The scatter-gather serving router with hot-swap reload.
 //!
 //! Threshold queries scatter to every shard's [`Searcher::query`] and
-//! merge the outputs; top-k locks every shard and hands them to
+//! merge the outputs; top-k read-locks every shard and hands them to
 //! [`Searcher::top_k_across`], which holds the whole scatter-gather
-//! top-k; batch joins run on a merged single index.
+//! top-k; batch joins run on a merged single index. Each loaded shard
+//! sits behind a read-write lock: queries and top-ks share it, and
+//! inserts, removes and compaction take it alone.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use bayeslsh_core::{
     merge_query_outputs, CompositionOutput, KnnParams, QueryOutput, SearchError, Searcher,
@@ -80,8 +82,9 @@ pub struct Generation {
     manifest: ShardManifest,
     dir: PathBuf,
     parallelism: Parallelism,
-    /// Lazily-populated shard searchers, in shard order.
-    slots: Vec<Mutex<Option<Searcher>>>,
+    /// Shard searchers in shard order, each loaded on first touch. Queries
+    /// share a loaded shard; inserts, removes and compaction take it alone.
+    slots: Vec<OnceLock<RwLock<Searcher>>>,
     /// Lock order: `ids` → `merged` → `slots` (ascending).
     ids: RwLock<IdMap>,
     /// The merged single-index searcher backing [`ShardedSearcher::all_pairs`]
@@ -106,7 +109,7 @@ impl Generation {
         let generation = Generation {
             ordinal,
             slots: (0..manifest.shard_count())
-                .map(|_| Mutex::new(None))
+                .map(|_| OnceLock::new())
                 .collect(),
             manifest,
             dir,
@@ -116,7 +119,7 @@ impl Generation {
         };
         if policy == LoadPolicy::Eager {
             for s in 0..generation.manifest.shard_count() {
-                drop(generation.slot(s)?);
+                generation.slot(s)?;
             }
         }
         Ok(generation)
@@ -135,20 +138,18 @@ impl Generation {
 
     /// How many shard slots currently hold a loaded searcher.
     pub fn shards_loaded(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.lock().expect("shard slot poisoned").is_some())
-            .count()
+        self.slots.iter().filter(|s| s.get().is_some()).count()
     }
 
-    /// Lock shard `s`'s slot, loading and verifying the snapshot first
-    /// if the slot is still empty.
-    fn slot(&self, s: usize) -> Result<MutexGuard<'_, Option<Searcher>>, ShardError> {
-        let mut slot = self.slots[s].lock().expect("shard slot poisoned");
-        if slot.is_none() {
-            *slot = Some(self.load_shard(s)?);
+    /// Shard `s`'s searcher, loading and verifying its snapshot on first
+    /// touch. Loading holds no lock, so two threads that touch a cold shard
+    /// at once may both load it; the first to finish is kept.
+    fn slot(&self, s: usize) -> Result<&RwLock<Searcher>, ShardError> {
+        if let Some(slot) = self.slots[s].get() {
+            return Ok(slot);
         }
-        Ok(slot)
+        let searcher = self.load_shard(s)?;
+        Ok(self.slots[s].get_or_init(|| RwLock::new(searcher)))
     }
 
     /// Read shard `s`'s snapshot and run the full verification ladder:
@@ -207,16 +208,10 @@ impl Generation {
         Ok(searcher)
     }
 
-    /// Run `f` against shard `s`'s searcher (loading it if needed).
-    fn with_shard<T>(&self, s: usize, f: impl FnOnce(&mut Searcher) -> T) -> Result<T, ShardError> {
-        let mut slot = self.slot(s)?;
-        Ok(f(slot.as_mut().expect("slot was just filled")))
-    }
-
     /// Read shard `s`'s searcher (loading and verifying it first if
-    /// needed) — the hook re-shard and snapshot-rewrite jobs use to save
-    /// a served shard (e.g. after [`ShardedSearcher::compact`]) back out
-    /// through [`Searcher::save`].
+    /// needed), sharing it with concurrent queries — the hook re-shard
+    /// and snapshot-rewrite jobs use to save a served shard (e.g. after
+    /// [`ShardedSearcher::compact`]) back out through [`Searcher::save`].
     ///
     /// # Errors
     ///
@@ -226,7 +221,7 @@ impl Generation {
         s: usize,
         f: impl FnOnce(&Searcher) -> T,
     ) -> Result<T, ShardError> {
-        self.with_shard(s, |sr| f(sr))
+        Ok(f(&self.slot(s)?.read().expect("shard slot poisoned")))
     }
 }
 
@@ -353,7 +348,7 @@ impl ShardedSearcher {
         let ids = generation.ids.read().expect("id map poisoned");
         let mut parts = Vec::with_capacity(generation.manifest.shard_count());
         for s in 0..generation.manifest.shard_count() {
-            let mut out = generation.with_shard(s, |sr| sr.query(q, threshold))??;
+            let mut out = generation.with_searcher(s, |sr| sr.query(q, threshold))??;
             let globals = &ids.globals[s];
             out.remap_ids(|local| globals[local as usize]);
             parts.push(out);
@@ -361,11 +356,17 @@ impl ShardedSearcher {
         Ok(merge_query_outputs(parts))
     }
 
-    /// Top-`k` query, scatter-gathered: every shard slot is locked in
-    /// ascending order (the generation's lock order), loading shards as
+    /// Top-`k` query, scatter-gathered: every shard slot is read-locked
+    /// in ascending order (the generation's lock order), loading shards as
     /// needed, and the shards go to [`Searcher::top_k_across`] with the
     /// id map. Output and statistics are bit-identical to
     /// [`Searcher::top_k`] on a single index.
+    ///
+    /// The read locks are held for the whole call. Concurrent queries and
+    /// top-ks share them; an insert, remove or
+    /// [`compact`](ShardedSearcher::compact) waits for the call to finish
+    /// (an insert already did, behind the id map), so every top-k sees one
+    /// state of the whole corpus.
     ///
     /// # Errors
     ///
@@ -383,9 +384,9 @@ impl ShardedSearcher {
         let generation = self.generation();
         let ids = generation.ids.read().expect("id map poisoned");
         let slots = (0..generation.manifest.shard_count())
-            .map(|s| generation.slot(s))
-            .collect::<Result<Vec<_>, _>>()?;
-        let shards: Vec<&Searcher> = slots.iter().filter_map(|slot| slot.as_ref()).collect();
+            .map(|s| Ok(generation.slot(s)?.read().expect("shard slot poisoned")))
+            .collect::<Result<Vec<_>, ShardError>>()?;
+        let shards: Vec<&Searcher> = slots.iter().map(|slot| &**slot).collect();
         Ok(Searcher::top_k_across(&shards, &ids.globals, q, k, params)?)
     }
 
@@ -416,7 +417,7 @@ impl ShardedSearcher {
             let mut shard_data = Vec::with_capacity(n_shards);
             let mut recipe = None;
             for s in 0..n_shards {
-                let (data, cfg, composition, mode) = generation.with_shard(s, |sr| {
+                let (data, cfg, composition, mode) = generation.with_searcher(s, |sr| {
                     (
                         sr.data().clone(),
                         *sr.config(),
@@ -468,7 +469,11 @@ impl ShardedSearcher {
         let global = ids.locate.len() as u32;
         let s = generation.manifest.partition.shard_of(global, n_shards);
         let mut merged = generation.merged.lock().expect("merged searcher poisoned");
-        let local = generation.with_shard(s, |sr| sr.insert(v.clone()))??;
+        let local = generation
+            .slot(s)?
+            .write()
+            .expect("shard slot poisoned")
+            .insert(v.clone())?;
         debug_assert_eq!(local as usize, ids.globals[s].len());
         ids.locate.push((s as u32, local));
         ids.globals[s].push(global);
@@ -506,7 +511,11 @@ impl ShardedSearcher {
             .into());
         };
         let mut merged = generation.merged.lock().expect("merged searcher poisoned");
-        let removed = generation.with_shard(s as usize, |sr| sr.remove(local))??;
+        let removed = generation
+            .slot(s as usize)?
+            .write()
+            .expect("shard slot poisoned")
+            .remove(local)?;
         if removed {
             if let Some(m) = merged.as_mut() {
                 m.remove(global).map_err(ShardError::Search)?;
@@ -521,12 +530,8 @@ impl ShardedSearcher {
         generation
             .slots
             .iter()
-            .map(|slot| {
-                slot.lock()
-                    .expect("shard slot poisoned")
-                    .as_ref()
-                    .map_or(0, Searcher::pending_removals)
-            })
+            .filter_map(OnceLock::get)
+            .map(|slot| slot.read().expect("shard slot poisoned").pending_removals())
             .sum()
     }
 
@@ -541,14 +546,12 @@ impl ShardedSearcher {
         let _ids = generation.ids.read().expect("id map poisoned");
         let mut merged = generation.merged.lock().expect("merged searcher poisoned");
         let mut reclaimed = 0;
-        for slot in &generation.slots {
-            // A never-loaded slot has no tombstones: removals load the
-            // owning shard, so only loaded searchers can need compaction.
-            let mut slot = slot.lock().expect("shard slot poisoned");
-            if let Some(sr) = slot.as_mut() {
-                if sr.pending_removals() > 0 {
-                    reclaimed += sr.compact();
-                }
+        // A never-loaded slot has no tombstones: removals load the owning
+        // shard, so only loaded searchers can need compaction.
+        for slot in generation.slots.iter().filter_map(OnceLock::get) {
+            let mut sr = slot.write().expect("shard slot poisoned");
+            if sr.pending_removals() > 0 {
+                reclaimed += sr.compact();
             }
         }
         if let Some(m) = merged.as_mut() {

@@ -76,26 +76,34 @@ fn assert_query_stats_match(sharded: QueryStats, single: QueryStats, n_shards: u
 }
 
 /// Build `data` into `n_shards` shards and assert every serving surface
-/// (batch join, threshold queries, top-k) is bit-identical to a single
-/// index over the same corpus at the given thread budget.
+/// (threshold queries, top-k, batch join) is bit-identical to a single
+/// index over the same corpus at the given hash mode and thread budget.
+///
+/// Sharding must not change what gets hashed either: after the build, and
+/// after every query and top-k (one of them with a budget past the eager
+/// build depth), the shards' hash counts sum to the single index's.
+/// Answers stay bit-identical however a router deepens signatures, so only
+/// this count sees a router that hashes differently from the single index.
 fn assert_equivalent(
     comp: Composition,
     data: &Dataset,
     cfg: PipelineConfig,
+    mode: HashMode,
     n_shards: usize,
     threads: u32,
     tag: &str,
 ) {
-    let ctx = format!("{comp} × {n_shards} shards × {threads} threads");
+    let ctx = format!("{comp} × {mode:?} × {n_shards} shards × {threads} threads");
     let slug: String = comp
         .to_string()
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
         .collect();
-    let dir = scratch(&format!("{tag}-{slug}-{n_shards}-{threads}"));
+    let dir = scratch(&format!("{tag}-{slug}-{mode:?}-{n_shards}-{threads}"));
     let par = Parallelism::threads(threads);
     ShardBuilder::new(cfg)
         .composition(comp)
+        .hash_mode(mode)
         .shards(n_shards)
         .partition(PartitionFn::Hashed { seed: 11 })
         .parallelism(par)
@@ -105,16 +113,30 @@ fn assert_equivalent(
         ShardedSearcher::open_with(&dir.join(MANIFEST_FILE), par, LoadPolicy::Eager).unwrap();
     let single = Searcher::builder(cfg)
         .composition(comp)
+        .hash_mode(mode)
         .parallelism(par)
         .build(data.clone())
         .unwrap();
-
-    // Batch join: pairs in canonical order, bit for bit, same
-    // candidate count.
-    let a = sharded.all_pairs().unwrap();
-    let b = single.all_pairs().unwrap();
-    assert_eq!(pair_bits(&a.pairs), pair_bits(&b.pairs), "{ctx}: all_pairs");
-    assert_eq!(a.candidates, b.candidates, "{ctx}: all_pairs candidates");
+    let generation = sharded.generation();
+    let check_hashes = |step: &str| {
+        let shard_hashes: u64 = (0..n_shards)
+            .map(|s| generation.with_searcher(s, Searcher::hash_count).unwrap())
+            .sum();
+        assert_eq!(
+            shard_hashes,
+            single.hash_count(),
+            "{ctx}: hashes after {step}"
+        );
+    };
+    check_hashes("build");
+    // A top-k budget two chunks past the eager build depth, so this top-k
+    // deepens signatures under either hash mode.
+    let eager_depth =
+        (single.banding_plan().params.total_hashes()).max(comp.verifier.signature_depth(&cfg));
+    let deep = KnnParams {
+        h: eager_depth + 2 * KnnParams::default().chunk,
+        ..KnnParams::default()
+    };
 
     // Point queries: neighbours and statistics.
     for qid in [0u32, 17, 33] {
@@ -132,16 +154,28 @@ fn assert_equivalent(
             n_shards as u64,
             &format!("{ctx}: query {qid} stats"),
         );
+        check_hashes(&format!("query {qid}"));
 
-        let ka = sharded.top_k(&q, 5, &KnnParams::default()).unwrap();
-        let kb = single.top_k(&q, 5, &KnnParams::default()).unwrap();
-        assert_eq!(
-            neighbor_bits(&ka.neighbors),
-            neighbor_bits(&kb.neighbors),
-            "{ctx}: top_k {qid}"
-        );
-        assert_eq!(ka.stats, kb.stats, "{ctx}: top_k {qid} stats");
+        for (name, params) in [("top_k", KnnParams::default()), ("deep top_k", deep)] {
+            let ka = sharded.top_k(&q, 5, &params).unwrap();
+            let kb = single.top_k(&q, 5, &params).unwrap();
+            assert_eq!(
+                neighbor_bits(&ka.neighbors),
+                neighbor_bits(&kb.neighbors),
+                "{ctx}: {name} {qid}"
+            );
+            assert_eq!(ka.stats, kb.stats, "{ctx}: {name} {qid} stats");
+            check_hashes(&format!("{name} {qid}"));
+        }
     }
+
+    // Batch join: pairs in canonical order, bit for bit, same candidate
+    // count. It runs last because only the single index deepens its own
+    // pool here; the router joins on a merged index no shard shares.
+    let a = sharded.all_pairs().unwrap();
+    let b = single.all_pairs().unwrap();
+    assert_eq!(pair_bits(&a.pairs), pair_bits(&b.pairs), "{ctx}: all_pairs");
+    assert_eq!(a.candidates, b.candidates, "{ctx}: all_pairs candidates");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -155,7 +189,7 @@ fn jaccard_all_compositions_bit_identical_across_shards_and_threads() {
     for comp in all_compositions() {
         for n_shards in SHARD_COUNTS {
             for threads in THREAD_BUDGETS {
-                assert_equivalent(comp, &data, cfg, n_shards, threads, "jac");
+                assert_equivalent(comp, &data, cfg, HashMode::Eager, n_shards, threads, "jac");
             }
         }
     }
@@ -173,8 +207,31 @@ fn cosine_compositions_bit_identical_across_shards_and_threads() {
         }
         for n_shards in [2usize, 7] {
             for threads in THREAD_BUDGETS {
-                assert_equivalent(comp, &data, cfg, n_shards, threads, "cos");
+                assert_equivalent(comp, &data, cfg, HashMode::Eager, n_shards, threads, "cos");
             }
+        }
+    }
+}
+
+/// The flagship cosine composition under lazy hashing, where queries and
+/// top-ks deepen signatures, so a router that hashes differently from the
+/// single index shows in the hash counts.
+#[test]
+fn lazy_hashing_bit_identical_across_shards_and_threads() {
+    let data = corpus(402);
+    let cfg = PipelineConfig::cosine(0.7);
+    let flagship = Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes);
+    for n_shards in [1usize, 3] {
+        for threads in THREAD_BUDGETS {
+            assert_equivalent(
+                flagship,
+                &data,
+                cfg,
+                HashMode::Lazy,
+                n_shards,
+                threads,
+                "lazy",
+            );
         }
     }
 }
@@ -183,64 +240,112 @@ fn cosine_compositions_bit_identical_across_shards_and_threads() {
 /// owning shard, receive the same global ids a single index would
 /// assign, and leave every surface — including the batch join's merged
 /// index, built *before* the inserts — bit-identical.
+///
+/// Each family also takes a vector with a feature index past the corpus
+/// dimension. Cosine's projection planes fix the feature space at build,
+/// so both indexes refuse it with the same typed error. Minhash hashes any
+/// feature, so under Jaccard the insert lands and widens only its owning
+/// shard's dataset, which must not change what the router serves.
 #[test]
 fn insert_into_shard_then_query_stays_equivalent() {
-    let data = corpus(403);
-    let cfg = PipelineConfig::cosine(0.7);
-    let dir = scratch("insert");
-    let par = Parallelism::threads(4);
-    ShardBuilder::new(cfg)
-        .composition(LITE)
-        .shards(3)
-        .partition(PartitionFn::Hashed { seed: 5 })
-        .parallelism(par)
-        .build_to_dir(&data, &dir)
-        .unwrap();
-    let sharded =
-        ShardedSearcher::open_with(&dir.join(MANIFEST_FILE), par, LoadPolicy::Eager).unwrap();
-    let mut single = Searcher::builder(cfg)
-        .composition(LITE)
-        .parallelism(par)
-        .build(data.clone())
-        .unwrap();
+    for (cfg, data) in [
+        (PipelineConfig::cosine(0.7), corpus(403)),
+        (PipelineConfig::jaccard(0.7), corpus(403).binarized()),
+    ] {
+        let family = cfg.family.measure();
+        let dir = scratch(&format!("insert-{family:?}"));
+        let par = Parallelism::threads(4);
+        ShardBuilder::new(cfg)
+            .composition(LITE)
+            .shards(3)
+            .partition(PartitionFn::Hashed { seed: 5 })
+            .parallelism(par)
+            .build_to_dir(&data, &dir)
+            .unwrap();
+        let sharded =
+            ShardedSearcher::open_with(&dir.join(MANIFEST_FILE), par, LoadPolicy::Eager).unwrap();
+        let mut single = Searcher::builder(cfg)
+            .composition(LITE)
+            .parallelism(par)
+            .build(data.clone())
+            .unwrap();
 
-    // Force the merged batch-join index to exist before inserting, so
-    // the insert-sync path is what's under test.
-    assert_eq!(
-        pair_bits(&sharded.all_pairs().unwrap().pairs),
-        pair_bits(&single.all_pairs().unwrap().pairs)
-    );
+        // Force the merged batch-join index to exist before inserting, so
+        // the insert-sync path is what's under test.
+        assert_eq!(
+            pair_bits(&sharded.all_pairs().unwrap().pairs),
+            pair_bits(&single.all_pairs().unwrap().pairs)
+        );
 
-    for qid in [2u32, 19, 33] {
-        let v = data.vector(qid).clone();
-        let a = sharded.insert(v.clone()).unwrap();
-        let b = single.insert(v).unwrap();
-        assert_eq!(a, b, "sharded and single must assign the same global id");
+        for qid in [2u32, 19, 33] {
+            let v = data.vector(qid).clone();
+            let a = sharded.insert(v.clone()).unwrap();
+            let b = single.insert(v).unwrap();
+            assert_eq!(a, b, "sharded and single must assign the same global id");
+        }
+        let mut queries: Vec<SparseVector> = [2u32, 19, 33, 39]
+            .iter()
+            .map(|&qid| data.vector(qid).clone())
+            .collect();
+        let wide = SparseVector::from_pairs(data.vector(7).iter().chain([(data.dim() + 5, 1.0)]));
+        match (sharded.insert(wide.clone()), single.insert(wide.clone())) {
+            (Ok(a), Ok(b)) if family == Measure::Jaccard => {
+                assert_eq!(a, b, "sharded and single must assign the same global id");
+                queries.push(wide);
+            }
+            (
+                Err(ShardError::Search(SearchError::DimensionExceeded { .. })),
+                Err(SearchError::DimensionExceeded { .. }),
+            ) if family == Measure::Cosine => {}
+            other => panic!("{family:?}: wide insert gave {other:?}"),
+        }
+        assert_eq!(sharded.len(), single.len());
+
+        for (i, q) in queries.iter().enumerate() {
+            let ctx = format!("insert {family:?}: query {i}");
+            let sa = sharded.query(q, 0.7).unwrap();
+            let sb = single.query(q, 0.7).unwrap();
+            assert_eq!(
+                neighbor_bits(&sa.neighbors),
+                neighbor_bits(&sb.neighbors),
+                "{ctx}"
+            );
+            assert_query_stats_match(sa.stats, sb.stats, 3, &ctx);
+            let ka = sharded.top_k(q, 4, &KnnParams::default()).unwrap();
+            let kb = single.top_k(q, 4, &KnnParams::default()).unwrap();
+            assert_eq!(
+                neighbor_bits(&ka.neighbors),
+                neighbor_bits(&kb.neighbors),
+                "{ctx}"
+            );
+            assert_eq!(ka.stats, kb.stats, "{ctx}");
+        }
+
+        // The merged join index was kept in sync by the inserts.
+        let a = sharded.all_pairs().unwrap();
+        let b = single.all_pairs().unwrap();
+        assert_eq!(pair_bits(&a.pairs), pair_bits(&b.pairs));
+
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert_eq!(sharded.len(), single.len());
+}
 
-    for qid in [2u32, 19, 33, 39] {
-        let q = data.vector(qid).clone();
-        let sa = sharded.query(&q, 0.7).unwrap();
-        let sb = single.query(&q, 0.7).unwrap();
-        assert_eq!(neighbor_bits(&sa.neighbors), neighbor_bits(&sb.neighbors));
-        assert_query_stats_match(sa.stats, sb.stats, 3, &format!("insert: query {qid}"));
-        let ka = sharded.top_k(&q, 4, &KnnParams::default()).unwrap();
-        let kb = single.top_k(&q, 4, &KnnParams::default()).unwrap();
-        assert_eq!(neighbor_bits(&ka.neighbors), neighbor_bits(&kb.neighbors));
-        assert_eq!(ka.stats, kb.stats);
-    }
-
-    // The merged join index was kept in sync by the inserts.
-    let a = sharded.all_pairs().unwrap();
-    let b = single.all_pairs().unwrap();
-    assert_eq!(pair_bits(&a.pairs), pair_bits(&b.pairs));
-
-    let _ = std::fs::remove_dir_all(&dir);
+/// Run `writes` on a second thread while this one keeps querying
+/// `sharded`, so writes that take one shard alone meet top-ks that hold
+/// every shard. A fault in the lock order hangs here.
+fn while_reading(sharded: &ShardedSearcher, q: &SparseVector, writes: impl FnOnce() + Send) {
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(writes);
+        while !writer.is_finished() {
+            sharded.query(q, 0.7).unwrap();
+            sharded.top_k(q, 4, &KnnParams::default()).unwrap();
+        }
+    });
 }
 
 /// Removes route through the id map to the owning shard, stay
-/// bit-identical to a single index applying the same removals, and the
+/// bit-identical to a single index applying the same removals (while
+/// another thread keeps querying the shard set), and the
 /// compacted shards round-trip through their snapshots under the same
 /// manifest partition (ids are stable across compaction).
 #[test]
@@ -271,11 +376,14 @@ fn remove_and_compact_stay_equivalent_and_roundtrip_snapshots() {
         pair_bits(&single.all_pairs().unwrap().pairs)
     );
 
-    for victim in [4u32, 17, 31] {
-        assert!(sharded.remove(victim).unwrap());
-        assert!(single.remove(victim).unwrap());
-        assert!(!sharded.remove(victim).unwrap(), "double remove is a no-op");
-    }
+    let reader_query = data.vector(0).clone();
+    while_reading(&sharded, &reader_query, || {
+        for victim in [4u32, 17, 31] {
+            assert!(sharded.remove(victim).unwrap());
+            assert!(single.remove(victim).unwrap());
+            assert!(!sharded.remove(victim).unwrap(), "double remove is a no-op");
+        }
+    });
     assert_eq!(sharded.pending_removals(), 3);
     assert!(matches!(
         sharded.remove(data.len() as u32 + 50),
@@ -305,8 +413,10 @@ fn remove_and_compact_stay_equivalent_and_roundtrip_snapshots() {
 
     // Compaction reclaims the tombstones on every surface, including the
     // merged join index, and results are unchanged.
-    assert_eq!(sharded.compact(), 3);
-    assert_eq!(single.compact(), 3);
+    while_reading(&sharded, &reader_query, || {
+        assert_eq!(sharded.compact(), 3);
+        assert_eq!(single.compact(), 3);
+    });
     assert_eq!(sharded.pending_removals(), 0);
     assert_eq!(sharded.len(), single.len(), "ids stay stable");
     compare(&sharded, &single, "compacted");
@@ -486,70 +596,6 @@ fn lazy_load_policy_is_equivalent_and_lazy() {
     assert_eq!(lazy.generation().shards_loaded(), 4);
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Sharding must not change what gets hashed. After the build, and after
-/// every threshold query and top-k (including one whose budget reaches
-/// past the eager build depth), the shards' hash counts sum to the count
-/// of a single index that served the same calls. Answers stay
-/// bit-identical however a router deepens signatures, so only this
-/// count sees a router that hashes differently from the single index.
-#[test]
-fn shard_hash_counts_sum_to_the_single_index_count() {
-    let cfg = PipelineConfig::cosine(0.7);
-    let comp = Composition::new(GeneratorKind::LshBanding, VerifierKind::Bayes);
-    let data = corpus(408);
-    let deep = KnnParams {
-        h: 4096,
-        ..KnnParams::default()
-    };
-    assert!(deep.h > comp.verifier.signature_depth(&cfg));
-    for mode in [HashMode::Eager, HashMode::Lazy] {
-        for threads in THREAD_BUDGETS {
-            for n_shards in [1, 3] {
-                let ctx = format!("{mode:?} × {threads} threads × {n_shards} shards");
-                let dir = scratch(&format!("hashes-{mode:?}-{threads}-{n_shards}"));
-                let par = Parallelism::threads(threads);
-                ShardBuilder::new(cfg)
-                    .composition(comp)
-                    .hash_mode(mode)
-                    .shards(n_shards)
-                    .partition(PartitionFn::Hashed { seed: 11 })
-                    .parallelism(par)
-                    .build_to_dir(&data, &dir)
-                    .unwrap();
-                let sharded =
-                    ShardedSearcher::open_with(&dir.join(MANIFEST_FILE), par, LoadPolicy::Eager)
-                        .unwrap();
-                let single = Searcher::builder(cfg)
-                    .composition(comp)
-                    .hash_mode(mode)
-                    .parallelism(par)
-                    .build(data.clone())
-                    .unwrap();
-                let check = |step: &str| {
-                    let generation = sharded.generation();
-                    let shard_hashes: u64 = (0..n_shards)
-                        .map(|s| generation.with_searcher(s, Searcher::hash_count).unwrap())
-                        .sum();
-                    assert_eq!(shard_hashes, single.hash_count(), "{ctx}: after {step}");
-                };
-                check("build");
-                for qid in [0u32, 11, 22, 33] {
-                    let q = data.vector(qid).clone();
-                    sharded.query(&q, cfg.threshold).unwrap();
-                    single.query(&q, cfg.threshold).unwrap();
-                    check(&format!("query {qid}"));
-                    for (name, params) in [("top_k", KnnParams::default()), ("deep top_k", deep)] {
-                        sharded.top_k(&q, 5, &params).unwrap();
-                        single.top_k(&q, 5, &params).unwrap();
-                        check(&format!("{name} {qid}"));
-                    }
-                }
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
