@@ -330,22 +330,8 @@ fn insert_into_shard_then_query_stays_equivalent() {
     }
 }
 
-/// Run `writes` on a second thread while this one keeps querying
-/// `sharded`, so writes that take one shard alone meet top-ks that hold
-/// every shard. A fault in the lock order hangs here.
-fn while_reading(sharded: &ShardedSearcher, q: &SparseVector, writes: impl FnOnce() + Send) {
-    std::thread::scope(|scope| {
-        let writer = scope.spawn(writes);
-        while !writer.is_finished() {
-            sharded.query(q, 0.7).unwrap();
-            sharded.top_k(q, 4, &KnnParams::default()).unwrap();
-        }
-    });
-}
-
 /// Removes route through the id map to the owning shard, stay
-/// bit-identical to a single index applying the same removals (while
-/// another thread keeps querying the shard set), and the
+/// bit-identical to a single index applying the same removals, and the
 /// compacted shards round-trip through their snapshots under the same
 /// manifest partition (ids are stable across compaction).
 #[test]
@@ -376,14 +362,11 @@ fn remove_and_compact_stay_equivalent_and_roundtrip_snapshots() {
         pair_bits(&single.all_pairs().unwrap().pairs)
     );
 
-    let reader_query = data.vector(0).clone();
-    while_reading(&sharded, &reader_query, || {
-        for victim in [4u32, 17, 31] {
-            assert!(sharded.remove(victim).unwrap());
-            assert!(single.remove(victim).unwrap());
-            assert!(!sharded.remove(victim).unwrap(), "double remove is a no-op");
-        }
-    });
+    for victim in [4u32, 17, 31] {
+        assert!(sharded.remove(victim).unwrap());
+        assert!(single.remove(victim).unwrap());
+        assert!(!sharded.remove(victim).unwrap(), "double remove is a no-op");
+    }
     assert_eq!(sharded.pending_removals(), 3);
     assert!(matches!(
         sharded.remove(data.len() as u32 + 50),
@@ -413,10 +396,8 @@ fn remove_and_compact_stay_equivalent_and_roundtrip_snapshots() {
 
     // Compaction reclaims the tombstones on every surface, including the
     // merged join index, and results are unchanged.
-    while_reading(&sharded, &reader_query, || {
-        assert_eq!(sharded.compact(), 3);
-        assert_eq!(single.compact(), 3);
-    });
+    assert_eq!(sharded.compact(), 3);
+    assert_eq!(single.compact(), 3);
     assert_eq!(sharded.pending_removals(), 0);
     assert_eq!(sharded.len(), single.len(), "ids stay stable");
     compare(&sharded, &single, "compacted");
@@ -567,7 +548,9 @@ fn failed_reload_keeps_the_current_generation_serving() {
 }
 
 /// Lazy loading serves the same bits as eager, loading shards only as
-/// queries touch them.
+/// queries touch them. The lazy query and top-k run on a second thread
+/// while this one holds shard 0: readers share a loaded shard, and loading
+/// the cold ones takes no shard lock.
 #[test]
 fn lazy_load_policy_is_equivalent_and_lazy() {
     let cfg = PipelineConfig::cosine(0.7);
@@ -589,11 +572,25 @@ fn lazy_load_policy_is_equivalent_and_lazy() {
     assert_eq!(eager.generation().shards_loaded(), 4);
 
     let q = data.vector(0).clone();
-    let a = lazy.query(&q, 0.7).unwrap();
+    let generation = lazy.generation();
+    let (a, ka) = generation
+        .with_searcher(0, |_| {
+            std::thread::scope(|scope| {
+                let reader = scope.spawn(|| {
+                    let a = lazy.query(&q, 0.7).unwrap();
+                    (a, lazy.top_k(&q, 4, &KnnParams::default()).unwrap())
+                });
+                reader.join().unwrap()
+            })
+        })
+        .unwrap();
+    assert_eq!(generation.shards_loaded(), 4);
     let b = eager.query(&q, 0.7).unwrap();
+    let kb = eager.top_k(&q, 4, &KnnParams::default()).unwrap();
     assert_eq!(neighbor_bits(&a.neighbors), neighbor_bits(&b.neighbors));
     assert_eq!(a.stats, b.stats);
-    assert_eq!(lazy.generation().shards_loaded(), 4);
+    assert_eq!(neighbor_bits(&ka.neighbors), neighbor_bits(&kb.neighbors));
+    assert_eq!(ka.stats, kb.stats);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
